@@ -120,10 +120,6 @@ class ValidationReport:
     violations: list[tuple[str, tuple]]
 
 
-def iterated_boundary(category: PresentedCategory, cell: str, k: int, side: str) -> str:
-    return category.boundary(cell, k, side)
-
-
 def is_degenerate(category: PresentedCategory, cell: str) -> bool:
     """True when the cell is an identity on some lower cell. 0-cells never are."""
     level = category.level_of(cell)

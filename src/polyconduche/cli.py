@@ -78,6 +78,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _bound(text: str) -> int:
+    """argparse type for a search or enumeration bound: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bounds must be non-negative, got {value}")
+    return value
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(dump_json(doc))
 
@@ -101,13 +112,13 @@ def _bounds_meta(bounds: SearchBounds) -> dict:
 def _add_search_flags(sub) -> None:
     sub.add_argument(
         "--size-slack",
-        type=int,
+        type=_bound,
         default=SearchBounds.size_slack,
         help="extra word size the equivalence search may explore",
     )
     sub.add_argument(
         "--max-steps",
-        type=int,
+        type=_bound,
         default=SearchBounds.max_steps,
         help="movement steps allowed on a witness path",
     )
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=None, help="check up to this level")
     p.add_argument(
-        "--size-bound", type=int, default=4, help="word size cap for fiber words"
+        "--size-bound", type=_bound, default=4, help="word size cap for fiber words"
     )
     p.add_argument("--at", default=None, help="fiber representative word")
     _add_search_flags(p)
@@ -392,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--word-size",
-        type=int,
+        type=_bound,
         default=None,
         help="word size cap; None means twice the level's cell count, up to 8",
     )
     p.add_argument(
         "--max-terms",
-        type=int,
+        type=_bound,
         default=BasisBounds.max_terms,
         help="enumeration cap before answering Unknown",
     )

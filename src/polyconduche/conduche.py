@@ -18,7 +18,7 @@ from .categories import (
     PresentedCategory,
     truncate,
 )
-from .errors import NotLiftable, NotWellFormed, SchemaError
+from .errors import BadOccurrence, NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     DISTINCT,
     ElementaryMovement,
@@ -29,11 +29,12 @@ from .movements import (
 from .terms import (
     CellularExtension,
     Term,
-    analyze_term,
     check_term,
     enumerate_terms,
     evaluate,
     restriction_extension,
+    splice,
+    subterm_at,
 )
 from .words import (
     COMP_KIND,
@@ -111,11 +112,6 @@ def check_nabla(functor: OmegaFunctor, n: int, k: int) -> ConducheReport:
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
-def _degeneracy_at(category: PresentedCategory, cell: str, k: int) -> str | None:
-    """The k-cell the given cell is an iterated identity of, if any."""
-    return category.degeneracy_preimage(cell, k)
-
-
 def check_kappa(functor: OmegaFunctor, n: int, k: int) -> ConducheReport:
     """Cells with k-degenerate images must be k-degenerate themselves.
 
@@ -128,9 +124,9 @@ def check_kappa(functor: OmegaFunctor, n: int, k: int) -> ConducheReport:
     failures: list[dict] = []
     for x in source.cells.get(n, []):
         fx = functor.apply(x)
-        if _degeneracy_at(target, fx, k) is None:
+        if target.degeneracy_preimage(fx, k) is None:
             continue
-        if _degeneracy_at(source, x, k) is None:
+        if source.degeneracy_preimage(x, k) is None:
             failures.append(
                 {"x": x, "n": n, "k": k, "factorization": None, "kind": "KappaFail"}
             )
@@ -465,19 +461,14 @@ def lift_movement(
     ):
         raise SchemaError("the lifted input does not map onto the movement's input")
     ext = morphism.source
-    base = ext.base
-    n = ext.dimension
     start = movement.prefix_len
-    end = start + len(movement.redex.word)
-    index = analyze_term(ext, lifted_input.word)
-    node = index.nodes.get((start, end))
-    if node is None:
-        raise NotLiftable(f"case {movement.case}: no subterm at the occurrence")
-    redex_up = Term(
-        lifted_input.word.sub(start, end), ext, node.src, node.tgt, node.size
-    )
+    end = start + movement.redex.length
+    try:
+        redex_up = subterm_at(lifted_input, start, end)
+    except BadOccurrence:
+        raise NotLiftable(f"case {movement.case}: no subterm at the occurrence") from None
 
-    contractum_word = _lift_contractum(morphism, movement, index, node)
+    contractum_word = _lift_contractum(morphism, movement, redex_up)
     try:
         contractum_up = check_term(ext, contractum_word)
     except NotWellFormed as exc:
@@ -490,62 +481,39 @@ def lift_movement(
         movement.case,
         movement.direction,
     )
-    output = Term(
-        Word(
-            lifted.prefix.tokens + contractum_up.word.tokens + lifted.suffix.tokens
-        ),
-        ext,
-        lifted_input.src,
-        lifted_input.tgt,
-        lifted_input.size - redex_up.size + contractum_up.size,
-    )
-    return lifted, output
+    return lifted, splice(lifted_input, start, end, contractum_up)
 
 
-def _lift_contractum(morphism, movement, index, node):
+def _lift_contractum(morphism, movement, node: Term) -> Word:
     from .movements import FORWARD
     from .terms import atom_word, pair_word
 
     ext = morphism.source
     base = ext.base
     n = ext.dimension
-    word = index.word
     case, direction = movement.case, movement.direction
-
-    def child(span):
-        return index.nodes[span]
 
     if case in (1, 5):
         if node.kind != "composite":
             raise NotLiftable(f"case {case}: occurrence is not a composite")
         k = node.level
-        left = child(node.left)
-        right = child(node.right)
+        left = node.left
+        right = node.right
         if case == 1 and direction == FORWARD:
             if left.kind != "composite" or left.level != k:
                 raise NotLiftable("case 1: left factor shape mismatch")
-            return pair_word(
-                word.sub(*left.left),
-                k,
-                pair_word(word.sub(*left.right), k, word.sub(*node.right)),
-            )
+            return pair_word(left.left.word, k, pair_word(left.right.word, k, right.word))
         if case == 1:
             if right.kind != "composite" or right.level != k:
                 raise NotLiftable("case 1: right factor shape mismatch")
-            return pair_word(
-                pair_word(word.sub(*node.left), k, word.sub(*right.left)),
-                k,
-                word.sub(*right.right),
-            )
+            return pair_word(pair_word(left.word, k, right.left.word), k, right.right.word)
         if left.kind != "composite" or right.kind != "composite":
             raise NotLiftable("case 5: factors are not composites")
         inner = left.level
         if right.level != inner:
             raise NotLiftable("case 5: factor levels disagree")
-        x = word.sub(*left.left)
-        y = word.sub(*left.right)
-        z = word.sub(*right.left)
-        t = word.sub(*right.right)
+        x, y = left.left.word, left.right.word
+        z, t = right.left.word, right.right.word
         return pair_word(pair_word(x, k, z), inner, pair_word(y, k, t))
 
     if case in (2, 3):
@@ -553,10 +521,10 @@ def _lift_contractum(morphism, movement, index, node):
             if node.kind != "composite":
                 raise NotLiftable(f"case {case}: occurrence is not a composite")
             keep = node.right if case == 2 else node.left
-            drop = child(node.left if case == 2 else node.right)
+            drop = node.left if case == 2 else node.right
             if drop.kind != "identity":
                 raise NotLiftable(f"case {case}: no identity factor to erase")
-            return word.sub(*keep)
+            return keep.word
         # Backward: insert the unit the downstairs insertion prescribes.
         k = _outer_level(movement)
         if k is None:
@@ -566,19 +534,19 @@ def _lift_contractum(morphism, movement, index, node):
                 unit = node.tgt
             else:
                 unit = base.identity_to(base.boundary(node.tgt, k, TGT), n)
-            return pair_word(atom_word("identity", unit), k, word.sub(node.start, node.end))
+            return pair_word(atom_word("identity", unit), k, node.word)
         if k == n:
             unit = node.src
         else:
             unit = base.identity_to(base.boundary(node.src, k, SRC), n)
-        return pair_word(word.sub(node.start, node.end), k, atom_word("identity", unit))
+        return pair_word(node.word, k, atom_word("identity", unit))
 
     # case 4
     if direction == FORWARD:
         if node.kind != "composite":
             raise NotLiftable("case 4: occurrence is not a composite")
-        left = child(node.left)
-        right = child(node.right)
+        left = node.left
+        right = node.right
         if left.kind != "identity" or right.kind != "identity":
             raise NotLiftable("case 4: factors are not identity atoms")
         k = node.level

@@ -39,6 +39,11 @@ class SchemaError(PolyconducheError):
     """A document or table references undeclared cells, or is malformed."""
 
 
+class SettingError(PolyconducheError):
+    """A setting taken from outside any document, such as an environment
+    variable, has an unusable value."""
+
+
 class LevelError(PolyconducheError):
     """A dimension or composition level is out of range."""
 

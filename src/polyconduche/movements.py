@@ -24,17 +24,21 @@ from .errors import (
     BoundaryMismatch,
     LevelError,
     SchemaError,
+    SettingError,
     Stale,
 )
 from .terms import (
+    IDENTITY,
     CellularExtension,
     Term,
-    analyze_term,
-    atom_word,
-    compose_terms,
+    _atom,
+    _composite,
+    _pair,
+    fold,
     generator_multiset,
-    pair_word,
-    term_boundary,
+    meets,
+    occurrences,
+    splice,
 )
 from .words import Word, serialize
 
@@ -47,24 +51,44 @@ BACKWARD = "backward"
 MAX_VISITED_ENV = "POLYCONDUCHE_MAX_VISITED"
 
 
-@dataclass
 class ElementaryMovement:
     """One rewrite step u = v e w  ->  v e' w at a fixed occurrence.
 
     direction records the orientation of the underlying shape: a backward
-    movement has the shape's right-hand side as its redex.
+    movement has the shape's right-hand side as its redex. Movements that
+    enumerate_movements lists keep their source term and derive the prefix
+    v and suffix w from it only when asked.
     """
 
-    prefix: Word
-    suffix: Word
-    redex: Term
-    contractum: Term
-    case: int
-    direction: str
+    __slots__ = (
+        "redex", "contractum", "case", "direction", "prefix_len",
+        "_prefix", "_suffix", "_source",
+    )
+
+    def __init__(
+        self, prefix: Word, suffix: Word, redex: Term, contractum: Term, case: int, direction: str
+    ):
+        self._prefix = prefix
+        self._suffix = suffix
+        self._source = None
+        self.prefix_len = len(prefix)
+        self.redex = redex
+        self.contractum = contractum
+        self.case = case
+        self.direction = direction
 
     @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
+    def prefix(self) -> Word:
+        if self._prefix is None:
+            self._prefix = self._source.word.sub(0, self.prefix_len)
+        return self._prefix
+
+    @property
+    def suffix(self) -> Word:
+        if self._suffix is None:
+            word = self._source.word
+            self._suffix = word.sub(self.prefix_len + self.redex.length, len(word))
+        return self._suffix
 
     def inverted(self) -> "ElementaryMovement":
         return ElementaryMovement(
@@ -76,6 +100,12 @@ class ElementaryMovement:
             FORWARD if self.direction == BACKWARD else BACKWARD,
         )
 
+    def __repr__(self) -> str:
+        return (
+            f"ElementaryMovement(case={self.case}, direction={self.direction!r}, "
+            f"prefix_len={self.prefix_len}, redex={self.redex!r}, contractum={self.contractum!r})"
+        )
+
     def to_json(self) -> dict:
         return {
             "case": self.case,
@@ -84,6 +114,21 @@ class ElementaryMovement:
             "redex": self.redex.serialize(),
             "contractum": self.contractum.serialize(),
         }
+
+
+def _movement_at(
+    source: Term, start: int, redex: Term, contractum: Term, case: int, direction: str
+) -> ElementaryMovement:
+    """A movement of `source` whose redex starts at token `start`."""
+    movement = ElementaryMovement.__new__(ElementaryMovement)
+    movement._prefix = movement._suffix = None
+    movement._source = source
+    movement.prefix_len = start
+    movement.redex = redex
+    movement.contractum = contractum
+    movement.case = case
+    movement.direction = direction
+    return movement
 
 
 @dataclass
@@ -111,10 +156,18 @@ class SearchBounds:
 
     @staticmethod
     def from_env() -> "SearchBounds":
+        """Default bounds, with the visited cap from the environment when
+        set; SettingError unless that is a positive integer."""
         cap = os.environ.get(MAX_VISITED_ENV)
         if cap is None:
             return SearchBounds()
-        return SearchBounds(max_visited=int(cap))
+        try:
+            value = int(cap)
+        except ValueError:
+            value = 0
+        if value <= 0:
+            raise SettingError(f"{MAX_VISITED_ENV} must be a positive integer, got {cap!r}")
+        return SearchBounds(max_visited=value)
 
 
 def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
@@ -136,174 +189,103 @@ def enumerate_movements(
     (case, position, direction, level) order.
 
     Backward movements include unit insertion at every occurrence and every
-    identity split the base composition tables support. Contracta are built
-    by splicing, not re-parsing: the globularity and distribution axioms
-    make every shape except backward interchange well formed outright, and
-    that one is guarded by two boundary comparisons.
+    identity split the base composition tables support. The occurrences come
+    in token order and each movement is filed under its case, which gives
+    that order without sorting. Redexes are subterms of the term and
+    contracta are built from its subterms, never parsed: the globularity and
+    distribution axioms make every shape except backward interchange well
+    formed outright, and that one is guarded by two boundary comparisons.
     """
     base = extension.base
     n = extension.dimension
-    index = analyze_term(extension, term.word)
+    levels = range(n + 1)
     want_fwd = direction in ("both", FORWARD)
     want_bwd = direction in ("both", BACKWARD)
-    found: list[tuple[tuple, ElementaryMovement]] = []
+    # One list per case; the walk fills each in (position, direction, level) order.
+    assoc, left_unit, right_unit, merge, interchange = [], [], [], [], []
+    units: dict[tuple, Term] = {}
 
-    def emit(key: tuple, node, new_word: Word, new_size: int) -> None:
-        case, start, dir_rank = key[0], key[1], key[2]
-        redex = Term(
-            term.word.sub(node.start, node.end), extension, node.src, node.tgt, node.size
-        )
-        contractum = Term(new_word, extension, node.src, node.tgt, new_size)
-        movement = ElementaryMovement(
-            term.word.sub(0, node.start),
-            term.word.sub(node.end, len(term.word)),
-            redex,
-            contractum,
-            case,
-            FORWARD if dir_rank == 0 else BACKWARD,
-        )
-        found.append((key, movement))
+    def unit(cell: str, level: int, side: str) -> Term:
+        """The identity atom of _unit_on, one per call and arguments."""
+        atom = units.get((cell, level, side))
+        if atom is None:
+            atom = _atom(extension, IDENTITY, _unit_on(extension, cell, level, side))
+            units[(cell, level, side)] = atom
+        return atom
 
-    def meet(upper_src: str, upper_tgt: str, level: int) -> bool:
-        """Can a term with n-source upper_src follow one with n-target
-        upper_tgt at the given level?"""
-        if level == n:
-            return upper_src == upper_tgt
-        return base.boundary(upper_src, level, SRC) == base.boundary(
-            upper_tgt, level, TGT
-        )
-
-    for span in index.nodes:
-        node = index.nodes[span]
-        subword = term.word.sub(node.start, node.end)
-        if node.kind == "composite":
-            k = node.level
-            left = index.nodes[node.left]
-            right = index.nodes[node.right]
-            lword = term.word.sub(*node.left)
-            rword = term.word.sub(*node.right)
+    for node, start in occurrences(term):
+        left, k, right = node.left, node.level, node.right
+        if left is not None:
             if want_fwd:
-                if left.kind == "composite" and left.level == k:
-                    x = term.word.sub(*left.left)
-                    y = term.word.sub(*left.right)
-                    emit(
-                        (1, node.start, 0, k),
-                        node,
-                        pair_word(x, k, pair_word(y, k, rword)),
-                        node.size,
-                    )
-                if left.kind == "identity" and left.name == _unit_on(
-                    extension, right.tgt, k, TGT
-                ):
-                    emit((2, node.start, 0, k), node, rword, right.size)
-                if right.kind == "identity" and right.name == _unit_on(
-                    extension, left.src, k, SRC
-                ):
-                    emit((3, node.start, 0, k), node, lword, left.size)
+                if left.level == k:
+                    inner = _pair(left.right, k, right)
+                    contractum = _composite(left.left, k, inner, node.src, node.tgt)
+                    assoc.append(_movement_at(term, start, node, contractum, 1, FORWARD))
+                if left.kind == IDENTITY and left.name == unit(right.tgt, k, TGT).name:
+                    left_unit.append(_movement_at(term, start, node, right, 2, FORWARD))
+                if right.kind == IDENTITY and right.name == unit(left.src, k, SRC).name:
+                    right_unit.append(_movement_at(term, start, node, left, 3, FORWARD))
                 if (
                     k < n
-                    and left.kind == "identity"
-                    and right.kind == "identity"
+                    and left.kind == IDENTITY
+                    and right.kind == IDENTITY
                     and (left.name, right.name) in base.comp.get((n, k), {})
                 ):
-                    merged = base.compose(left.name, right.name, k)
-                    emit((4, node.start, 0, k), node, atom_word("identity", merged), 0)
-                if (
-                    left.kind == "composite"
-                    and right.kind == "composite"
-                    and left.level == right.level
-                    and k < left.level
-                ):
-                    inner = left.level
-                    x = term.word.sub(*left.left)
-                    y = term.word.sub(*left.right)
-                    z = term.word.sub(*right.left)
-                    t = term.word.sub(*right.right)
-                    emit(
-                        (5, node.start, 0, k),
-                        node,
-                        pair_word(pair_word(x, k, z), inner, pair_word(y, k, t)),
-                        node.size,
+                    merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
+                    merge.append(_movement_at(term, start, node, merged, 4, FORWARD))
+                if left.level is not None and left.level == right.level and k < left.level:
+                    contractum = _composite(
+                        _pair(left.left, k, right.left),
+                        left.level,
+                        _pair(left.right, k, right.right),
+                        node.src,
+                        node.tgt,
                     )
+                    interchange.append(_movement_at(term, start, node, contractum, 5, FORWARD))
             if want_bwd:
-                if right.kind == "composite" and right.level == k:
-                    y = term.word.sub(*right.left)
-                    z = term.word.sub(*right.right)
-                    emit(
-                        (1, node.start, 1, k),
-                        node,
-                        pair_word(pair_word(lword, k, y), k, z),
-                        node.size,
-                    )
-                if (
-                    left.kind == "composite"
-                    and right.kind == "composite"
-                    and left.level == right.level
-                    and left.level < k
-                ):
-                    inner = left.level
-                    p = index.nodes[left.left]
-                    q = index.nodes[left.right]
-                    r = index.nodes[right.left]
-                    s = index.nodes[right.right]
-                    if meet(p.src, r.tgt, k) and meet(q.src, s.tgt, k):
-                        emit(
-                            (5, node.start, 1, inner),
-                            node,
-                            pair_word(
-                                pair_word(term.word.sub(*left.left), k, term.word.sub(*right.left)),
-                                inner,
-                                pair_word(term.word.sub(*left.right), k, term.word.sub(*right.right)),
-                            ),
-                            node.size,
+                if right.level == k:
+                    inner = _pair(left, k, right.left)
+                    contractum = _composite(inner, k, right.right, node.src, node.tgt)
+                    assoc.append(_movement_at(term, start, node, contractum, 1, BACKWARD))
+                if left.level is not None and left.level == right.level and left.level < k:
+                    p, q, r, s = left.left, left.right, right.left, right.right
+                    if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
+                        contractum = _composite(
+                            _pair(p, k, r), left.level, _pair(q, k, s), node.src, node.tgt
+                        )
+                        interchange.append(
+                            _movement_at(term, start, node, contractum, 5, BACKWARD)
                         )
         if want_bwd:
-            for k in range(n + 1):
-                unit_left = _unit_on(extension, node.tgt, k, TGT)
-                emit(
-                    (2, node.start, 1, k),
-                    node,
-                    pair_word(atom_word("identity", unit_left), k, subword),
-                    node.size + 1,
-                )
-                unit_right = _unit_on(extension, node.src, k, SRC)
-                emit(
-                    (3, node.start, 1, k),
-                    node,
-                    pair_word(subword, k, atom_word("identity", unit_right)),
-                    node.size + 1,
-                )
-            if node.kind == "identity":
-                for k in range(n):
-                    for (c, d) in base.factorizations(node.name, n, k):
-                        emit(
-                            (4, node.start, 1, k, c, d),
-                            node,
-                            pair_word(
-                                atom_word("identity", c), k, atom_word("identity", d)
-                            ),
-                            1,
-                        )
-
-    found.sort(key=lambda pair: pair[0])
-    return [movement for _, movement in found]
+            for level in levels:
+                inserted = unit(node.tgt, level, TGT)
+                contractum = _composite(inserted, level, node, node.src, node.tgt)
+                left_unit.append(_movement_at(term, start, node, contractum, 2, BACKWARD))
+                inserted = unit(node.src, level, SRC)
+                contractum = _composite(node, level, inserted, node.src, node.tgt)
+                right_unit.append(_movement_at(term, start, node, contractum, 3, BACKWARD))
+            if node.kind == IDENTITY:
+                for level in range(n):
+                    for (c, d) in base.factorizations(node.name, n, level):
+                        c_atom = _atom(extension, IDENTITY, c)
+                        d_atom = _atom(extension, IDENTITY, d)
+                        contractum = _composite(c_atom, level, d_atom, node.src, node.tgt)
+                        merge.append(_movement_at(term, start, node, contractum, 4, BACKWARD))
+    return assoc + left_unit + right_unit + merge + interchange
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
     """Splice the contractum in at the recorded occurrence."""
-    expected = movement.prefix.tokens + movement.redex.word.tokens + movement.suffix.tokens
-    if term.word.tokens != expected:
-        raise Stale("movement does not match this word")
+    if movement._source is not term:
+        expected = movement.prefix.tokens + movement.redex.word.tokens + movement.suffix.tokens
+        if term.word.tokens != expected:
+            raise Stale("movement does not match this word")
     return _splice(term, movement)
 
 
 def _splice(term: Term, movement: ElementaryMovement) -> Term:
-    word = Word(
-        movement.prefix.tokens + movement.contractum.word.tokens + movement.suffix.tokens
-    )
-    size = term.size - movement.redex.size + movement.contractum.size
-    # Movements preserve the boundaries of the occurrence, hence of the word.
-    return Term(word, term.extension, term.src, term.tgt, size)
+    start = movement.prefix_len
+    return splice(term, start, start + movement.redex.length, movement.contractum)
 
 
 def reduce(extension: CellularExtension, term: Term) -> Term:
@@ -328,7 +310,7 @@ def _reduce_with_path(
         ]
         if not movements:
             return current, path
-        movements.sort(key=lambda m: (m.prefix_len + len(m.redex.word), m.prefix_len))
+        movements.sort(key=lambda m: (m.prefix_len + m.redex.length, m.prefix_len))
         step = movements[0]
         path.append(step)
         current = _splice(current, step)
@@ -410,8 +392,8 @@ def _bidirectional_search(
     repeated queries byte-stable. Returns the step list or an Unknown reason.
     """
     sides = {
-        "u": {"visited": {start.word.tokens: (None, None, start)}, "frontier": [start], "depth": 0},
-        "v": {"visited": {goal.word.tokens: (None, None, goal)}, "frontier": [goal], "depth": 0},
+        "u": {"visited": {start.word.tokens: (None, None)}, "frontier": [start], "depth": 0},
+        "v": {"visited": {goal.word.tokens: (None, None)}, "frontier": [goal], "depth": 0},
     }
     if goal.word.tokens in sides["u"]["visited"]:
         return []
@@ -427,7 +409,7 @@ def _bidirectional_search(
                 chains[name].append(movement)
                 cursor = parent_tokens
             while visited[cursor][0] is not None:
-                parent_tokens, movement, _ = visited[cursor]
+                parent_tokens, movement = visited[cursor]
                 chains[name].append(movement)
                 cursor = parent_tokens
         forward = list(reversed(chains["u"]))
@@ -447,44 +429,36 @@ def _bidirectional_search(
             return reason
         name = min(expandable, key=lambda s: (len(sides[s]["frontier"]), s))
         side = sides[name]
-        other = sides["v" if name == "u" else "u"]
+        visited = side["visited"]
+        other = sides["v" if name == "u" else "u"]["visited"]
         new_frontier: list[Term] = []
-        for node in sorted(side["frontier"], key=lambda t: (len(t.word), serialize(t.word))):
+        for node in sorted(side["frontier"], key=lambda t: (t.length, serialize(t.word))):
+            tokens = node.word.tokens
             for movement in enumerate_movements(extension, node):
-                child = _splice(node, movement)
-                if child.size > size_cap:
+                redex, contractum = movement.redex, movement.contractum
+                # Prune by size and probe the visited sets with the child's
+                # tokens before building its tree.
+                if node.size - redex.size + contractum.size > size_cap:
                     continue
-                key = child.word.tokens
-                if key in side["visited"]:
+                start = movement.prefix_len
+                key = tokens[:start] + contractum.word.tokens + tokens[start + redex.length :]
+                if key in visited:
                     continue
-                if key in other["visited"]:
-                    pending = (node.word.tokens, movement) if name == "u" else None
+                if key in other:
                     if name == "v":
                         # Hang the step on the v-chain before reconstruction.
-                        side["visited"][key] = (node.word.tokens, movement, child)
+                        visited[key] = (tokens, movement)
                         return build_path(key, "v", None)
-                    return build_path(key, "u", pending)
-                side["visited"][key] = (node.word.tokens, movement, child)
+                    return build_path(key, "u", (tokens, movement))
+                visited[key] = (tokens, movement)
+                child = _splice(node, movement)
+                child._word = Word(key)  # the key is the child's word: keep, not rebuild
                 new_frontier.append(child)
                 total_visited += 1
                 if total_visited > max_visited:
                     return "visited-cap"
         side["frontier"] = new_frontier
         side["depth"] += 1
-
-
-# -- class-level helpers ----------------------------------------------------
-
-
-def class_boundary(term: Term, side: str, level: int | None = None) -> str:
-    """Boundary of an equivalence class through any representative."""
-    n = term.extension.dimension
-    return term_boundary(term, n if level is None else level, side)
-
-
-def compose_classes(left: Term, k: int, right: Term) -> Term:
-    """Composite of class representatives; well-defined by congruence."""
-    return compose_terms(left, k, right)
 
 
 def extend_functor(
@@ -510,17 +484,12 @@ def extend_functor(
             image
         ] != base_functor.apply(tgt):
             raise BoundaryMismatch(f"assignment for {name!r} breaks the boundary squares")
-    index = analyze_term(extension, term.word)
-
-    def fold(span) -> str:
-        node = index.nodes[span]
-        if node.kind == "generator":
-            return phi[node.name]
-        if node.kind == "identity":
+    def atom(node: Term) -> str:
+        if node.kind == IDENTITY:
             return target.ids[n][base_functor.apply(node.name)]
-        return target.compose(fold(node.left), fold(node.right), node.level)
+        return phi[node.name]
 
-    return fold(index.root)
+    return fold(term, atom, target.compose)
 
 
 def movement_graph_dot(extension: CellularExtension, term: Term) -> str:

@@ -14,14 +14,14 @@ from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
 from .movements import DISTINCT, SearchBounds, WITNESS, _unit_on, equivalent
 from .terms import (
+    IDENTITY,
     CellularExtension,
     Term,
+    _pair,
     all_atoms,
     evaluate,
-    pair_word,
     restriction_extension,
 )
-from .words import ID_KIND
 
 BASIS = "Basis"
 NOT_BASIS = "NotBasis"
@@ -112,12 +112,6 @@ def _reachable_values(
     return values
 
 
-def _identity_atom_name(term: Term) -> str | None:
-    if len(term.word) == 3 and term.word.tokens[1].kind == ID_KIND:
-        return term.word.tokens[1].value
-    return None
-
-
 def _enumerate_reduced(
     extension: CellularExtension, max_size: int, max_count: int | None = None
 ) -> tuple[list[Term], bool]:
@@ -125,7 +119,8 @@ def _enumerate_reduced(
 
     Every term is connected to such a representative of the same or smaller
     size, so checking connectivity on these alone decides it for the full
-    set of preimage words within the bound, at a fraction of the cost.
+    set of preimage words within the bound, at a fraction of the cost. Each
+    composite shares its factors with the smaller terms it is built from.
     """
     base = extension.base
     n = extension.dimension
@@ -138,7 +133,7 @@ def _enumerate_reduced(
             for left_size in range(size):
                 right_size = size - 1 - left_size
                 for left in by_size[left_size]:
-                    lid = _identity_atom_name(left)
+                    lid = left.name if left.kind == IDENTITY else None
                     for right in by_size[right_size]:
                         if k == n:
                             if left.src != right.tgt:
@@ -147,7 +142,7 @@ def _enumerate_reduced(
                             right.tgt, k, TGT
                         ):
                             continue
-                        rid = _identity_atom_name(right)
+                        rid = right.name if right.kind == IDENTITY else None
                         if lid is not None and lid == _unit_on(
                             extension, right.tgt, k, TGT
                         ):
@@ -163,13 +158,7 @@ def _enumerate_reduced(
                             and (lid, rid) in base.comp.get((n, k), {})
                         ):
                             continue
-                        word = pair_word(left.word, k, right.word)
-                        if k == n:
-                            src, tgt = right.src, left.tgt
-                        else:
-                            src = base.compose(left.src, right.src, k)
-                            tgt = base.compose(left.tgt, right.tgt, k)
-                        layer.append(Term(word, extension, src, tgt, size))
+                        layer.append(_pair(left, k, right))
                         total += 1
                         if max_count is not None and total >= max_count:
                             truncated = True

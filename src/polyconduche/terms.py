@@ -3,8 +3,11 @@
 A cellular extension hangs a set of formal (n+1)-generators on an n-category;
 terms are the well-formed words built from generator atoms "(c:g)", identity
 atoms "(i:x)" for top cells x of the base, and binary composition at levels
-0..n. Checking is a single recursive-descent pass that computes top-level
-boundaries as it goes and reports the leftmost failure.
+0..n. Checking is a single left-to-right pass that builds the term's tree,
+computes boundaries as it goes and reports the leftmost failure. Terms keep
+that tree: composites are built from their factors, movements and
+substitutions copy only the path to the root, and evaluation folds the tree.
+Words are built from the tree on demand.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from .words import (
     GEN_KIND,
     ID_KIND,
     LPAREN,
-    LPAREN_KIND,
     RPAREN,
-    RPAREN_KIND,
     Word,
     comp,
     gen,
@@ -64,18 +65,106 @@ def check_extension(extension: CellularExtension) -> None:
                 raise SchemaError(f"generator {name!r} boundaries {src!r}, {tgt!r} are not parallel")
 
 
-@dataclass(eq=False)
-class Term:
-    """A checked word with its cached top-level boundaries."""
+GENERATOR = "generator"
+IDENTITY = "identity"
+COMPOSITE = "composite"
 
-    word: Word
-    extension: CellularExtension
-    src: str
-    tgt: str
-    size: int
+
+class Term:
+    """A well-formed term: an atom, or the composite (left *level right) of
+    two terms, with its top-level boundaries, size and token length cached.
+
+    Terms are immutable and share their subterms, so a term is a node of a
+    tree that other terms may contain too. For atoms, kind is "generator" or
+    "identity" and name the generator or base cell; for composites, left,
+    level and right hold the factors. The word is built from the tree on
+    first use and then kept.
+    """
+
+    __slots__ = (
+        "extension", "kind", "name", "left", "level", "right",
+        "src", "tgt", "size", "length", "_word",
+    )
+
+    def __init__(self, extension, kind, name, left, level, right, src, tgt, size, length):
+        self.extension = extension
+        self.kind = kind
+        self.name = name
+        self.left = left
+        self.level = level
+        self.right = right
+        self.src = src
+        self.tgt = tgt
+        self.size = size
+        self.length = length
+        self._word = None
+
+    @property
+    def word(self) -> Word:
+        if self._word is None:
+            self._word = Word(_tokens(self))
+        return self._word
 
     def serialize(self) -> str:
         return serialize(self.word)
+
+    def __repr__(self) -> str:
+        return f"Term({self.serialize()!r})"
+
+
+def _tokens(term: Term) -> tuple:
+    """The token sequence of a term, from an explicit stack so that nesting
+    depth is not bounded by the interpreter's recursion limit."""
+    out: list = []
+    todo: list = [term]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is not Term:
+            out.append(item)
+        elif item._word is not None:
+            out.extend(item._word.tokens)
+        else:
+            out.append(LPAREN)
+            todo += (RPAREN, item.right, comp(item.level), item.left)
+    return tuple(out)
+
+
+def _atom(extension: CellularExtension, kind: str, name: str) -> Term:
+    """A new atom term for a generator or top base cell; the caller has
+    checked the name."""
+    src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
+    atom = Term(extension, kind, name, None, None, None, src, tgt, 0, 3)
+    atom._word = atom_word(kind, name)
+    return atom
+
+
+def meets(extension: CellularExtension, left_src: str, k: int, right_tgt: str) -> bool:
+    """Can a term with n-source left_src follow one with n-target right_tgt
+    at level k?"""
+    if k == extension.dimension:
+        return left_src == right_tgt
+    base = extension.base
+    return base.boundary(left_src, k, SRC) == base.boundary(right_tgt, k, TGT)
+
+
+def _composite(left: Term, k: int, right: Term, src: str, tgt: str) -> Term:
+    """(left *k right) with boundaries the caller already knows."""
+    return Term(
+        left.extension, COMPOSITE, None, left, k, right, src, tgt,
+        left.size + right.size + 1, left.length + right.length + 3,
+    )
+
+
+def _pair(left: Term, k: int, right: Term) -> Term:
+    """(left *k right) built from its factors, which the caller has checked
+    to meet at level k."""
+    extension = left.extension
+    if k == extension.dimension:
+        return _composite(left, k, right, right.src, left.tgt)
+    base = extension.base
+    src = base.compose(left.src, right.src, k)
+    tgt = base.compose(left.tgt, right.tgt, k)
+    return _composite(left, k, right, src, tgt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,90 +207,105 @@ class TermDecomposition:
     right: Term
 
 
+def occurrences(term: Term):
+    """Every subterm occurrence as (subterm, start token), in token order."""
+    stack = [(term, 0)]
+    while stack:
+        node, start = stack.pop()
+        yield node, start
+        if node.left is not None:
+            stack.append((node.right, start + node.left.length + 2))
+            stack.append((node.left, start + 1))
+
+
 def analyze_term(extension: CellularExtension, word: Word) -> TermIndex:
-    """Parse a word into its full subterm index; raises NotWellFormed."""
-    base = extension.base
-    n = base.dimension
-    tokens = word.tokens
+    """The subterm index of a word as token spans; raises NotWellFormed."""
     nodes: dict[tuple[int, int], TermNode] = {}
-
-    def parse(start: int) -> TermNode:
-        if start >= len(tokens) or tokens[start].kind != LPAREN_KIND:
-            raise NotWellFormed(start, "ShapeError", "expected '('")
-        if start + 1 >= len(tokens):
-            raise NotWellFormed(start + 1, "ShapeError", "unclosed '('")
-        head = tokens[start + 1]
-        if head.kind == GEN_KIND:
-            if head.value not in extension.generators:
-                raise NotWellFormed(start + 1, "UnknownGenerator", f"{head.value!r}")
-            _expect_rparen(tokens, start + 2)
-            src, tgt = extension.generators[head.value]
-            node = TermNode(start, start + 3, "generator", head.value, None, None, None, src, tgt, 0)
-        elif head.kind == ID_KIND:
-            if not base.has_cell(head.value) or base.level_of(head.value) != n:
-                raise NotWellFormed(start + 1, "UnknownCell", f"{head.value!r}")
-            _expect_rparen(tokens, start + 2)
-            node = TermNode(
-                start, start + 3, "identity", head.value, None, None, None, head.value, head.value, 0
-            )
-        elif head.kind == LPAREN_KIND:
-            left = parse(start + 1)
-            pos = left.end
-            if pos >= len(tokens) or tokens[pos].kind != COMP_KIND:
-                raise NotWellFormed(pos, "ShapeError", "expected a composition symbol")
-            k = int(tokens[pos].value)
-            if k > n:
-                raise NotWellFormed(pos, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
-            right = parse(pos + 1)
-            _expect_rparen(tokens, right.end)
-            if k == n:
-                if left.src != right.tgt:
-                    raise NotWellFormed(
-                        pos,
-                        "BoundaryMismatch",
-                        f"{left.src!r} != {right.tgt!r} at level {k}",
-                        level=k,
-                    )
-                src, tgt = right.src, left.tgt
-            else:
-                if base.boundary(left.src, k, SRC) != base.boundary(right.tgt, k, TGT):
-                    raise NotWellFormed(
-                        pos, "BoundaryMismatch", f"factors do not meet at level {k}", level=k
-                    )
-                src = base.compose(left.src, right.src, k)
-                tgt = base.compose(left.tgt, right.tgt, k)
-            node = TermNode(
-                start,
-                right.end + 1,
-                "composite",
-                None,
-                k,
-                (left.start, left.end),
-                (right.start, right.end),
-                src,
-                tgt,
-                left.size + right.size + 1,
-            )
+    for node, start in occurrences(check_term(extension, word)):
+        end = start + node.length
+        if node.left is None:
+            left = right = None
         else:
-            raise NotWellFormed(start + 1, "ShapeError", f"unexpected {tokens[start + 1].text()!r}")
-        nodes[(node.start, node.end)] = node
-        return node
-
-    root = parse(0)
-    if root.end != len(tokens):
-        raise NotWellFormed(root.end, "ShapeError", "trailing tokens")
-    return TermIndex(word, nodes, (root.start, root.end))
+            middle = start + 1 + node.left.length
+            left, right = (start + 1, middle), (middle + 1, end - 1)
+        nodes[(start, end)] = TermNode(
+            start, end, node.kind, node.name, node.level, left, right,
+            node.src, node.tgt, node.size,
+        )
+    return TermIndex(word, nodes, (0, len(word)))
 
 
 def _expect_rparen(tokens, pos: int) -> None:
-    if pos >= len(tokens) or tokens[pos].kind != RPAREN_KIND:
+    if pos >= len(tokens) or tokens[pos] is not RPAREN:
         raise NotWellFormed(pos, "ShapeError", "expected ')'")
 
 
 def check_term(extension: CellularExtension, word: Word) -> Term:
-    index = analyze_term(extension, word)
-    root = index.nodes[index.root]
-    return Term(word, extension, root.src, root.tgt, root.size)
+    """Parse a word into a term in one left-to-right pass; raises
+    NotWellFormed at the leftmost failure.
+
+    Composites still being read wait on an explicit stack as [left factor,
+    position of the composition symbol], the factor None until read, so
+    nesting depth is not bounded by the interpreter's recursion limit.
+    """
+    base = extension.base
+    n = base.dimension
+    tokens = word.tokens
+    count = len(tokens)
+    atoms: dict = {}  # one atom term per atom token of the word
+    pending: list[list] = []
+    start = 0
+    while True:
+        # Read the term that starts at `start` down to its leftmost atom.
+        if start >= count or tokens[start] is not LPAREN:
+            raise NotWellFormed(start, "ShapeError", "expected '('")
+        if start + 1 >= count:
+            raise NotWellFormed(start + 1, "ShapeError", "unclosed '('")
+        head = tokens[start + 1]
+        if head is LPAREN:
+            pending.append([None, 0])
+            start += 1
+            continue
+        node = atoms.get(head)
+        if node is None:
+            if head.kind == GEN_KIND:
+                if head.value not in extension.generators:
+                    raise NotWellFormed(start + 1, "UnknownGenerator", f"{head.value!r}")
+                kind = GENERATOR
+            elif head.kind == ID_KIND:
+                if not base.has_cell(head.value) or base.level_of(head.value) != n:
+                    raise NotWellFormed(start + 1, "UnknownCell", f"{head.value!r}")
+                kind = IDENTITY
+            else:
+                raise NotWellFormed(start + 1, "ShapeError", f"unexpected {head.text()!r}")
+            node = atoms[head] = _atom(extension, kind, head.value)
+        _expect_rparen(tokens, start + 2)
+        end = start + 3
+        # Close every composite this term completes.
+        while pending and pending[-1][0] is not None:
+            left, pos = pending.pop()
+            _expect_rparen(tokens, end)
+            k = tokens[pos].value
+            if not meets(extension, left.src, k, node.tgt):
+                if k == n:
+                    message = f"{left.src!r} != {node.tgt!r} at level {k}"
+                else:
+                    message = f"factors do not meet at level {k}"
+                raise NotWellFormed(pos, "BoundaryMismatch", message, level=k)
+            node = _pair(left, k, node)
+            end += 1
+        if not pending:
+            if end != count:
+                raise NotWellFormed(end, "ShapeError", "trailing tokens")
+            return node
+        # The term is a left factor: read its composition symbol.
+        if end >= count or tokens[end].kind != COMP_KIND:
+            raise NotWellFormed(end, "ShapeError", "expected a composition symbol")
+        k = int(tokens[end].value)
+        if k > n:
+            raise NotWellFormed(end, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
+        pending[-1][:] = [node, end]
+        start = end + 1
 
 
 def term_boundary(term: Term, k: int, side: str) -> str:
@@ -217,27 +321,44 @@ def term_boundary(term: Term, k: int, side: str) -> str:
 
 def decompose(term: Term):
     """Top-level shape: an atom marker or (left, k, right) as checked terms."""
-    index = analyze_term(term.extension, term.word)
-    root = index.nodes[index.root]
-    if root.kind != "composite":
-        return AtomDecomposition(root.kind, root.name)
-    left = _node_term(term.extension, index, root.left)
-    right = _node_term(term.extension, index, root.right)
-    return TermDecomposition(left, root.level, right)
+    if term.left is None:
+        return AtomDecomposition(term.kind, term.name)
+    return TermDecomposition(term.left, term.level, term.right)
 
 
-def _node_term(extension: CellularExtension, index: TermIndex, span: tuple[int, int]) -> Term:
-    node = index.nodes[span]
-    return Term(index.word.sub(*span), extension, node.src, node.tgt, node.size)
+def _path_to(term: Term, start: int, end: int) -> tuple[Term, list[tuple[Term, bool]]]:
+    """The subterm at a token span, with the composites above it, root
+    first, each paired with whether the span lies in its left factor."""
+    path: list[tuple[Term, bool]] = []
+    node, offset = term, 0
+    while (offset, offset + node.length) != (start, end):
+        if node.left is None or start <= offset:
+            raise BadOccurrence(f"({start}, {end}) is not a subterm occurrence")
+        right_at = offset + node.left.length + 2
+        if start >= right_at:
+            path.append((node, False))
+            node, offset = node.right, right_at
+        else:
+            path.append((node, True))
+            node, offset = node.left, offset + 1
+    return node, path
 
 
 def subterm_at(term: Term, start: int, end: int) -> Term:
     """The subterm occurrence at a token span; BadOccurrence otherwise."""
-    index = analyze_term(term.extension, term.word)
-    node = index.nodes.get((start, end))
-    if node is None:
-        raise BadOccurrence(f"({start}, {end}) is not a subterm occurrence")
-    return _node_term(term.extension, index, (start, end))
+    return _path_to(term, start, end)[0]
+
+
+def splice(term: Term, start: int, end: int, replacement: Term) -> Term:
+    """Put replacement in place of the subterm at a token span, copying only
+    the composites above it. The caller guarantees equal boundaries, so
+    every copied composite keeps its own."""
+    path = _path_to(term, start, end)[1]
+    node = replacement
+    for parent, on_left in reversed(path):
+        left, right = (node, parent.right) if on_left else (parent.left, node)
+        node = _composite(left, parent.level, right, parent.src, parent.tgt)
+    return node
 
 
 def substitute(term: Term, start: int, end: int, replacement: Term) -> Term:
@@ -248,8 +369,7 @@ def substitute(term: Term, start: int, end: int, replacement: Term) -> Term:
             f"replacement boundaries ({replacement.src!r}, {replacement.tgt!r}) "
             f"differ from ({old.src!r}, {old.tgt!r})"
         )
-    spliced = Word(term.word.tokens[:start] + replacement.word.tokens + term.word.tokens[end:])
-    return check_term(term.extension, spliced)
+    return splice(term, start, end, replacement)
 
 
 # -- evaluation into an ambient category ------------------------------------
@@ -270,6 +390,25 @@ def restriction_extension(
     return CellularExtension(truncate(category, level - 1), generators)
 
 
+def fold(term: Term, atom, composite):
+    """Fold a term bottom-up, left factor before right: atom(t) for each
+    atom, composite(left value, right value, k) for each composite. Runs
+    from an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    values: list = []
+    todo: list = [term]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is int:
+            right = values.pop()
+            values.append(composite(values.pop(), right, node))
+        elif node.left is None:
+            values.append(atom(node))
+        else:
+            todo += (node.level, node.right, node.left)
+    return values[0]
+
+
 def evaluate(category: PresentedCategory, sigma: list[str], term: Term) -> str:
     """Fold a term into a category that actually holds the composites.
 
@@ -278,21 +417,15 @@ def evaluate(category: PresentedCategory, sigma: list[str], term: Term) -> str:
     """
     n = term.extension.dimension
     sigma_set = set(sigma)
-    index = analyze_term(term.extension, term.word)
 
-    def fold(span: tuple[int, int]) -> str:
-        node = index.nodes[span]
-        if node.kind == "generator":
-            if node.name not in sigma_set:
-                raise UndefinedComposite(f"generator {node.name!r} outside the chosen set")
-            return node.name
-        if node.kind == "identity":
+    def atom(node: Term) -> str:
+        if node.kind == IDENTITY:
             return category.ids[n][node.name]
-        left = fold(node.left)
-        right = fold(node.right)
-        return category.compose(left, right, node.level)
+        if node.name not in sigma_set:
+            raise UndefinedComposite(f"generator {node.name!r} outside the chosen set")
+        return node.name
 
-    return fold(index.root)
+    return fold(term, atom, category.compose)
 
 
 def generator_multiset(term: Term) -> dict[str, int]:
@@ -307,7 +440,7 @@ def generator_multiset(term: Term) -> dict[str, int]:
 
 
 def atom_word(kind: str, name: str) -> Word:
-    tok = gen(name) if kind == "generator" else ident_of(name)
+    tok = gen(name) if kind == GENERATOR else ident_of(name)
     return Word((LPAREN, tok, RPAREN))
 
 
@@ -321,23 +454,18 @@ def compose_terms(left: Term, k: int, right: Term) -> Term:
     n = extension.dimension
     if not 0 <= k <= n:
         raise LevelError(f"composition level {k} out of range")
-    if k == n:
-        if left.src != right.tgt:
+    if not meets(extension, left.src, k, right.tgt):
+        if k == n:
             raise BoundaryMismatch(f"{left.src!r} != {right.tgt!r} at level {k}")
-    else:
-        base = extension.base
-        if base.boundary(left.src, k, SRC) != base.boundary(right.tgt, k, TGT):
-            raise BoundaryMismatch(f"factors do not meet at level {k}")
-    return check_term(extension, pair_word(left.word, k, right.word))
+        raise BoundaryMismatch(f"factors do not meet at level {k}")
+    return _pair(left, k, right)
 
 
 def all_atoms(extension: CellularExtension) -> list[Term]:
     """Every atom term, generators first, in declaration order."""
-    out = []
-    for name in extension.generators:
-        out.append(check_term(extension, atom_word("generator", name)))
+    out = [_atom(extension, GENERATOR, name) for name in extension.generators]
     for cell in extension.base.cells[extension.dimension]:
-        out.append(check_term(extension, atom_word("identity", cell)))
+        out.append(_atom(extension, IDENTITY, cell))
     return out
 
 
@@ -347,7 +475,8 @@ def enumerate_terms(
     """All terms of size up to max_size, smallest first, deterministic order.
 
     Returns (terms, truncated); truncated is True when max_count stopped the
-    enumeration early.
+    enumeration early. Each composite shares its factors with the smaller
+    terms it is built from.
     """
     base = extension.base
     n = extension.dimension
@@ -368,13 +497,7 @@ def enumerate_terms(
                             right.tgt, k, TGT
                         ):
                             continue
-                        word = pair_word(left.word, k, right.word)
-                        if k == n:
-                            src, tgt = right.src, left.tgt
-                        else:
-                            src = base.compose(left.src, right.src, k)
-                            tgt = base.compose(left.tgt, right.tgt, k)
-                        layer.append(Term(word, extension, src, tgt, size))
+                        layer.append(_pair(left, k, right))
                         total += 1
                         if max_count is not None and total >= max_count:
                             truncated = True
@@ -402,9 +525,7 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
         k = rng.randint(0, n)
         if k == n:
             partners = [t for t in pool + [current] if t.tgt == left.src]
-            right = rng.choice(partners) if partners else check_term(
-                extension, atom_word("identity", left.src)
-            )
+            right = rng.choice(partners) if partners else _atom(extension, IDENTITY, left.src)
         else:
             want = base.boundary(left.src, k, SRC)
             partners = [
@@ -413,8 +534,7 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
             if partners:
                 right = rng.choice(partners)
             else:
-                unit = base.identity_to(want, n)
-                right = check_term(extension, atom_word("identity", unit))
+                right = _atom(extension, IDENTITY, base.identity_to(want, n))
         if left.size + right.size + 1 > max_size:
             break
         current = compose_terms(left, k, right)

@@ -26,9 +26,13 @@ ID_KIND = "i"
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SymbolToken:
-    """One alphabet symbol. value is the generator/cell name or the level."""
+    """One alphabet symbol. value is the generator/cell name or the level.
+
+    Each symbol has exactly one token object (LPAREN, RPAREN and the cached
+    constructors below), so tokens compare and hash by identity.
+    """
 
     kind: str
     value: str | int | None = None

@@ -314,3 +314,43 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Pass"
+
+
+def test_deeply_nested_words_do_not_exhaust_the_stack(capsys):
+    # 1,500 alternating levels, deeper than the interpreter's recursion
+    # limit; no forward movement applies anywhere in this word.
+    word = "(c:a)"
+    for depth in range(1500):
+        word = f"({word}*{depth % 2}(c:b))"
+    code, out = run_cli(["movements", EH, word, "--direction", "forward"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"word": word, "movements": []}
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+def test_malformed_visited_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("POLYCONDUCHE_MAX_VISITED", cap)
+    code = main(["equiv", EH, BRAID_LEFT, BRAID_RIGHT])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: POLYCONDUCHE_MAX_VISITED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conduche", EH_FUN, "--mode", "fiber", "--at", BRAID_LEFT, "--size-bound", "-1"],
+        ["equiv", EH, BRAID_LEFT, BRAID_RIGHT, "--max-steps", "-5"],
+        ["equiv", EH, BRAID_LEFT, BRAID_RIGHT, "--size-slack", "-1"],
+        ["basis", PATH2, "--dim", "1", "--word-size", "-2"],
+        ["basis", PATH2, "--dim", "1", "--max-terms", "-1"],
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 3
+    assert captured.out == ""
+    assert "bounds must be non-negative" in captured.err
