@@ -78,15 +78,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _bound(text: str) -> int:
-    """argparse type for a search or enumeration bound: a non-negative int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"bounds must be non-negative, got {value}")
-    return value
+def _at_least(low: int, message: str):
+    """argparse type for an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{message}, got {value}")
+        return value
+
+    return parse
+
+
+# A search or enumeration bound, and a level to check up to.
+_bound = _at_least(0, "bounds must be non-negative")
+_level = _at_least(1, "--dim must be at least 1")
 
 
 def _emit(doc: dict) -> None:
@@ -382,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="factorization tables or fiber bijections",
     )
-    p.add_argument("--dim", type=int, default=None, help="check up to this level")
+    p.add_argument("--dim", type=_level, default=None, help="check up to this level (at least 1)")
     p.add_argument(
         "--size-bound", type=_bound, default=4, help="word size cap for fiber words"
     )

@@ -32,16 +32,15 @@ from .terms import (
     check_term,
     enumerate_terms,
     evaluate,
+    evaluate_enumerated,
+    fold_enumerated,
     restriction_extension,
     splice,
     subterm_at,
 )
 from .words import (
-    COMP_KIND,
     GEN_KIND,
     ID_KIND,
-    LPAREN_KIND,
-    RPAREN_KIND,
     SymbolToken,
     Word,
     gen,
@@ -81,13 +80,11 @@ def check_nabla(functor: OmegaFunctor, n: int, k: int) -> ConducheReport:
     for x in source.cells.get(n, []):
         fx = functor.apply(x)
         for (y1, y2) in target.factorizations(fx, n, k):
-            lifts = sorted(
-                pair
-                for pair, res in source.comp.get((n, k), {}).items()
-                if res == x
-                and functor.apply(pair[0]) == y1
-                and functor.apply(pair[1]) == y2
-            )
+            lifts = [
+                (p, q)
+                for p, q in source.factorizations(x, n, k)
+                if functor.apply(p) == y1 and functor.apply(q) == y2
+            ]
             if not lifts:
                 failures.append(
                     {
@@ -142,12 +139,7 @@ def check_conduche(functor: OmegaFunctor, up_to_dim: int | None = None) -> Condu
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
-    reports = []
-    for n in range(1, up_to_dim + 1):
-        for k in range(n):
-            reports.append(check_nabla(functor, n, k))
-            reports.append(check_kappa(functor, n, k))
-    return _merge(reports)
+    return _merge([conduche_at_level(functor, n) for n in range(1, up_to_dim + 1)])
 
 
 def conduche_at_level(functor: OmegaFunctor, n: int) -> ConducheReport:
@@ -389,36 +381,40 @@ def fiber_conduche(
     """Fiber-route verdict over every level and every fiber of a finite
     functor, with full generator sets.
 
-    Terms are enumerated once per level and bucketed by their evaluation, so
-    each fiber comparison is a dictionary pass.
+    Terms are enumerated once per level and bucketed by their value, each
+    paired with the shape id of its image word, so each fiber comparison is
+    a dictionary pass over ints.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
-        morphism = morphism_from_functor(functor, level)
-        src_buckets = _value_buckets(functor.source, level, size_bound)
-        tgt_buckets = _value_buckets(functor.target, level, size_bound)
+        shapes: dict[tuple, int] = {}
+        src_buckets = _value_buckets(
+            functor.source, level, size_bound, shapes,
+            lambda atom: (atom.kind, functor.apply(atom.name)),
+        )
+        tgt_buckets = _value_buckets(
+            functor.target, level, size_bound, shapes, lambda atom: (atom.kind, atom.name)
+        )
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
-            seen: dict[tuple, Term] = {}
+            seen: dict[int, Term] = {}
             fail = None
-            for member in src_buckets.get(a, []):
-                image = induced_word_map(morphism, member.word)
-                key = image.tokens
-                if key in seen:
+            for shape, member in src_buckets.get(a, []):
+                if shape in seen:
                     fail = {
                         "x": a,
                         "level": level,
                         "kind": "injectivity",
-                        "pair": [seen[key].serialize(), member.serialize()],
+                        "pair": [seen[shape].serialize(), member.serialize()],
                     }
                     break
-                seen[key] = member
+                seen[shape] = member
             if fail is None:
-                for target_member in tgt_buckets.get(fa, []):
-                    if target_member.word.tokens not in seen:
+                for shape, target_member in tgt_buckets.get(fa, []):
+                    if shape not in seen:
                         fail = {
                             "x": a,
                             "level": level,
@@ -432,14 +428,25 @@ def fiber_conduche(
 
 
 def _value_buckets(
-    category: PresentedCategory, level: int, size_bound: int
-) -> dict[str, list[Term]]:
-    extension = full_extension(category, level)
-    sigma = list(category.cells.get(level, []))
-    terms, _ = enumerate_terms(extension, size_bound)
-    buckets: dict[str, list[Term]] = {}
-    for term in terms:
-        buckets.setdefault(evaluate(category, sigma, term), []).append(term)
+    category: PresentedCategory, level: int, size_bound: int, shapes: dict, atom_key
+) -> dict[str, list[tuple[int, Term]]]:
+    """The level's terms up to the size bound, bucketed by value, each with
+    the shape id of its image word.
+
+    atom_key(atom) names the image of an atom; a composite's shape is
+    (left id, k, right id). Ids are interned in `shapes`, so, the induced
+    word map being token-wise, two terms of one level have the same image
+    word exactly when their ids are equal.
+    """
+    terms, _ = enumerate_terms(full_extension(category, level), size_bound)
+    ids = fold_enumerated(
+        terms,
+        lambda atom: shapes.setdefault(atom_key(atom), len(shapes)),
+        lambda left, right, k: shapes.setdefault((left, k, right), len(shapes)),
+    )
+    buckets: dict[str, list[tuple[int, Term]]] = {}
+    for term, value, shape in zip(terms, evaluate_enumerated(category, terms), ids):
+        buckets.setdefault(value, []).append((shape, term))
     return buckets
 
 
@@ -485,7 +492,7 @@ def lift_movement(
 
 
 def _lift_contractum(morphism, movement, node: Term) -> Word:
-    from .movements import FORWARD
+    from .movements import FORWARD, _unit_on
     from .terms import atom_word, pair_word
 
     ext = morphism.source
@@ -526,20 +533,12 @@ def _lift_contractum(morphism, movement, node: Term) -> Word:
                 raise NotLiftable(f"case {case}: no identity factor to erase")
             return keep.word
         # Backward: insert the unit the downstairs insertion prescribes.
-        k = _outer_level(movement)
+        k = movement.contractum.level
         if k is None:
             raise NotLiftable(f"case {case}: malformed downstairs contractum")
         if case == 2:
-            if k == n:
-                unit = node.tgt
-            else:
-                unit = base.identity_to(base.boundary(node.tgt, k, TGT), n)
-            return pair_word(atom_word("identity", unit), k, node.word)
-        if k == n:
-            unit = node.src
-        else:
-            unit = base.identity_to(base.boundary(node.src, k, SRC), n)
-        return pair_word(node.word, k, atom_word("identity", unit))
+            return pair_word(atom_word("identity", _unit_on(ext, node.tgt, k, TGT)), k, node.word)
+        return pair_word(node.word, k, atom_word("identity", _unit_on(ext, node.src, k, SRC)))
 
     # case 4
     if direction == FORWARD:
@@ -555,33 +554,15 @@ def _lift_contractum(morphism, movement, node: Term) -> Word:
         return atom_word("identity", base.compose(left.name, right.name, k))
     if node.kind != "identity":
         raise NotLiftable("case 4: occurrence is not an identity atom")
-    k = _outer_level(movement)
+    contractum = movement.contractum
+    k = contractum.level
     if k is None:
         raise NotLiftable("case 4: malformed downstairs contractum")
-    want = _split_images(movement)
+    want = (contractum.left.name, contractum.right.name)
     for (c, d) in base.factorizations(node.name, n, k):
         if (morphism.base.apply(c), morphism.base.apply(d)) == want:
             return pair_word(atom_word("identity", c), k, atom_word("identity", d))
     raise NotLiftable("case 4: no factorization lifts the split")
-
-
-def _outer_level(movement: ElementaryMovement) -> int | None:
-    """The composition level of the downstairs contractum's top node."""
-    depth = 0
-    for token in movement.contractum.word.tokens:
-        if token.kind == LPAREN_KIND:
-            depth += 1
-        elif token.kind == RPAREN_KIND:
-            depth -= 1
-        elif token.kind == COMP_KIND and depth == 1:
-            return int(token.value)
-    return None
-
-
-def _split_images(movement: ElementaryMovement) -> tuple[str, str]:
-    """The two identity-atom cells of a backward case-4 contractum."""
-    cells = [t.value for t in movement.contractum.word.tokens if t.kind == ID_KIND]
-    return (cells[0], cells[1])
 
 
 def is_rigid(

@@ -39,24 +39,40 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _by_level(payload, key: str, kind: type) -> dict:
+    """A JSON object keyed by integer levels, each value read as a list or a
+    dict."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{key!r} must be an object keyed by level")
+    try:
+        return {int(level): kind(value) for level, value in payload.items()}
+    except (TypeError, ValueError):
+        raise SchemaError(f"{key!r} needs integer levels, each with a {kind.__name__}") from None
+
+
 def category_from_json(doc: dict) -> PresentedCategory:
     dimension = _require(doc, "dimension")
     if not isinstance(dimension, int) or dimension < 0:
         raise SchemaError("dimension must be a non-negative integer")
-    cells = {int(level): list(names) for level, names in _require(doc, "cells").items()}
-    src = {int(level): dict(table) for level, table in doc.get("src", {}).items()}
-    tgt = {int(level): dict(table) for level, table in doc.get("tgt", {}).items()}
-    ids = {int(level): dict(table) for level, table in doc.get("id", {}).items()}
+    cells = _by_level(_require(doc, "cells"), "cells", list)
+    src = _by_level(doc.get("src", {}), "src", dict)
+    tgt = _by_level(doc.get("tgt", {}), "tgt", dict)
+    ids = _by_level(doc.get("id", {}), "id", dict)
     comp: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
-    for key, triples in doc.get("comp", {}).items():
+    tables = doc.get("comp", {})
+    if not isinstance(tables, dict):
+        raise SchemaError("'comp' must be an object keyed by 'l*k'")
+    for key, triples in tables.items():
         try:
             level_text, k_text = key.split("*")
             level, k = int(level_text), int(k_text)
         except ValueError:
             raise SchemaError(f"bad composition key {key!r}, expected 'l*k'") from None
+        if not isinstance(triples, list):
+            raise SchemaError(f"composition table {key!r} must be an array of triples")
         table: dict[tuple[str, str], str] = {}
         for triple in triples:
-            if len(triple) != 3:
+            if not isinstance(triple, list) or len(triple) != 3:
                 raise SchemaError(f"composition entries are triples, got {triple!r}")
             left, right, result = triple
             if (left, right) in table:
@@ -65,7 +81,7 @@ def category_from_json(doc: dict) -> PresentedCategory:
         comp[(level, k)] = table
     basis = None
     if "basis" in doc:
-        basis = {int(level): list(names) for level, names in doc["basis"].items()}
+        basis = _by_level(doc["basis"], "basis", list)
     return PresentedCategory(dimension, cells, src, tgt, ids, comp, basis)
 
 
@@ -139,7 +155,7 @@ def functor_from_json(doc: dict, base_dir: Path):
     tgt_kind, target = _resolve_side(_require(doc, "target"), base_dir)
     if src_kind != tgt_kind:
         raise SchemaError("source and target documents must have the same kind")
-    maps = {int(level): dict(table) for level, table in _require(doc, "map").items()}
+    maps = _by_level(_require(doc, "map"), "map", dict)
     if src_kind == CATEGORY:
         return OmegaFunctor(source, target, maps)
     top = source.base.dimension + 1

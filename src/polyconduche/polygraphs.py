@@ -17,9 +17,8 @@ from .terms import (
     IDENTITY,
     CellularExtension,
     Term,
-    _pair,
-    all_atoms,
-    evaluate,
+    enumerate_terms,
+    evaluate_enumerated,
     restriction_extension,
 )
 
@@ -112,60 +111,27 @@ def _reachable_values(
     return values
 
 
-def _enumerate_reduced(
-    extension: CellularExtension, max_size: int, max_count: int | None = None
-) -> tuple[list[Term], bool]:
-    """Terms with no removable unit factor and no mergeable identity pair.
+def _reduced(extension: CellularExtension):
+    """The enumerate_terms filter for terms with no removable unit factor and
+    no mergeable identity pair.
 
     Every term is connected to such a representative of the same or smaller
     size, so checking connectivity on these alone decides it for the full
-    set of preimage words within the bound, at a fraction of the cost. Each
-    composite shares its factors with the smaller terms it is built from.
+    set of preimage words within the bound, at a fraction of the cost.
     """
-    base = extension.base
     n = extension.dimension
-    by_size: list[list[Term]] = [all_atoms(extension)]
-    total = len(by_size[0])
-    truncated = False
-    for size in range(1, max_size + 1):
-        layer: list[Term] = []
-        for k in range(n + 1):
-            for left_size in range(size):
-                right_size = size - 1 - left_size
-                for left in by_size[left_size]:
-                    lid = left.name if left.kind == IDENTITY else None
-                    for right in by_size[right_size]:
-                        if k == n:
-                            if left.src != right.tgt:
-                                continue
-                        elif base.boundary(left.src, k, SRC) != base.boundary(
-                            right.tgt, k, TGT
-                        ):
-                            continue
-                        rid = right.name if right.kind == IDENTITY else None
-                        if lid is not None and lid == _unit_on(
-                            extension, right.tgt, k, TGT
-                        ):
-                            continue
-                        if rid is not None and rid == _unit_on(
-                            extension, left.src, k, SRC
-                        ):
-                            continue
-                        if (
-                            k < n
-                            and lid is not None
-                            and rid is not None
-                            and (lid, rid) in base.comp.get((n, k), {})
-                        ):
-                            continue
-                        layer.append(_pair(left, k, right))
-                        total += 1
-                        if max_count is not None and total >= max_count:
-                            truncated = True
-                            by_size.append(layer)
-                            return [t for lst in by_size for t in lst], truncated
-        by_size.append(layer)
-    return [t for lst in by_size for t in lst], truncated
+    comp = extension.base.comp
+
+    def admit(left: Term, k: int, right: Term) -> bool:
+        lid = left.name if left.kind == IDENTITY else None
+        rid = right.name if right.kind == IDENTITY else None
+        if lid is not None and lid == _unit_on(extension, right.tgt, k, TGT):
+            return False
+        if rid is not None and rid == _unit_on(extension, left.src, k, SRC):
+            return False
+        return lid is None or rid is None or k == n or (lid, rid) not in comp.get((n, k), {})
+
+    return admit
 
 
 def check_basis(
@@ -199,10 +165,12 @@ def check_basis(
         else default_word_bound(category, level)
     )
     extension = restriction_extension(category, level, sigma)
-    terms, truncated = _enumerate_reduced(extension, size_bound, bounds.max_terms)
+    terms, truncated = enumerate_terms(
+        extension, size_bound, bounds.max_terms, admit=_reduced(extension)
+    )
     buckets: dict[str, list[Term]] = {}
-    for term in terms:
-        buckets.setdefault(evaluate(category, sigma, term), []).append(term)
+    for term, value in zip(terms, evaluate_enumerated(category, terms)):
+        buckets.setdefault(value, []).append(term)
 
     unresolved: list[str] = []
     for a in category.cells.get(level, []):

@@ -470,41 +470,64 @@ def all_atoms(extension: CellularExtension) -> list[Term]:
 
 
 def enumerate_terms(
-    extension: CellularExtension, max_size: int, max_count: int | None = None
+    extension: CellularExtension, max_size: int, max_count: int | None = None, admit=None
 ) -> tuple[list[Term], bool]:
     """All terms of size up to max_size, smallest first, deterministic order.
 
     Returns (terms, truncated); truncated is True when max_count stopped the
     enumeration early. Each composite shares its factors with the smaller
-    terms it is built from.
+    terms it is built from, so the list is factor-closed. When given,
+    admit(left, k, right) filters the composites of factors that meet; a
+    rejected composite is never built and never used as a factor.
     """
     base = extension.base
     n = extension.dimension
     by_size: list[list[Term]] = [all_atoms(extension)]
+    # (size, k) -> the terms of that size by their k-target, in order.
+    by_target: dict[tuple[int, int], dict[str, list[Term]]] = {}
     total = len(by_size[0])
-    truncated = False
     for size in range(1, max_size + 1):
         layer: list[Term] = []
+        by_size.append(layer)
         for k in range(n + 1):
             for left_size in range(size):
                 right_size = size - 1 - left_size
-                for left in by_size[left_size]:
+                partners = by_target.get((right_size, k))
+                if partners is None:
+                    partners = by_target[(right_size, k)] = {}
                     for right in by_size[right_size]:
-                        if k == n:
-                            if left.src != right.tgt:
-                                continue
-                        elif base.boundary(left.src, k, SRC) != base.boundary(
-                            right.tgt, k, TGT
-                        ):
-                            continue
-                        layer.append(_pair(left, k, right))
-                        total += 1
-                        if max_count is not None and total >= max_count:
-                            truncated = True
-                            by_size.append(layer)
-                            return [t for lst in by_size for t in lst], truncated
-        by_size.append(layer)
-    return [t for lst in by_size for t in lst], truncated
+                        partners.setdefault(base.boundary(right.tgt, k, TGT), []).append(right)
+                for left in by_size[left_size]:
+                    for right in partners.get(base.boundary(left.src, k, SRC), ()):
+                        if admit is None or admit(left, k, right):
+                            layer.append(_pair(left, k, right))
+                            total += 1
+                            if max_count is not None and total >= max_count:
+                                return [t for lst in by_size for t in lst], True
+    return [t for lst in by_size for t in lst], False
+
+
+def fold_enumerated(terms: list[Term], atom, composite) -> list:
+    """The values of a factor-closed list of distinct terms, factors first,
+    such as enumerate_terms returns: atom(t) for each atom, and
+    composite(left value, right value, k) once for each composite, read off
+    its factors' values. Gives the same values as folding each term alone."""
+    memo: dict[Term, object] = {}  # keyed by node identity
+    for t in terms:
+        memo[t] = atom(t) if t.left is None else composite(memo[t.left], memo[t.right], t.level)
+    return list(memo.values())
+
+
+def evaluate_enumerated(category: PresentedCategory, terms: list[Term]) -> list[str]:
+    """evaluate on every term of a factor-closed, smallest-first list whose
+    generators are all cells of the category, each composite composed once."""
+
+    def atom(node: Term) -> str:
+        if node.kind == IDENTITY:
+            return category.ids[node.extension.dimension][node.name]
+        return node.name
+
+    return fold_enumerated(terms, atom, category.compose)
 
 
 def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Term:

@@ -354,3 +354,47 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert exit_info.value.code == 3
     assert captured.out == ""
     assert "bounds must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["table", "fiber"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_conduche_dim_below_one_is_a_usage_error(capsys, mode, dim):
+    # Dimension 0 would check no level at all and answer a vacuous Pass,
+    # although the collapse fails at dimension 1.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["conduche", COLLAPSE, "--mode", mode, "--dim", dim])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 3
+    assert captured.out == ""
+    assert "--dim must be at least 1" in captured.err
+    code, out = run_cli(["conduche", COLLAPSE, "--mode", mode, "--dim", "1"], capsys)
+    assert code == 1
+    assert json.loads(out)["up_to_dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("cells", []),
+        ("src", []),
+        ("tgt", "x"),
+        ("id", 3),
+        ("basis", ["f"]),
+        ("comp", []),
+        ("cells", {"one": ["x"]}),
+        ("src", {"1": ["x"]}),
+        ("basis", {"1.5": ["f"]}),
+    ],
+)
+@pytest.mark.parametrize("command", [["validate"], ["basis", "--dim", "1"]])
+def test_malformed_category_tables_are_usage_errors(capsys, tmp_path, command, key, value):
+    doc = json.loads(Path(PATH2).read_text())
+    doc[key] = value
+    path = tmp_path / "malformed.cat.json"
+    path.write_text(json.dumps(doc))
+    code = main(command[:1] + [str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert repr(key) in captured.err

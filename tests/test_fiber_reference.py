@@ -1,0 +1,244 @@
+"""The fiber route and the basis check against per-term oracles.
+
+`fiber_conduche` and `check_basis` read each enumerated term's value and
+image shape off its two factors. The oracles below do what they did before
+that: enumerate with a plain nested loop, evaluate every term from its atoms
+and relabel every source word token by token. Verdicts and witnesses must
+agree exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from polyconduche.categories import SRC, TGT
+from polyconduche.conduche import (
+    FAIL,
+    PASS,
+    ConducheReport,
+    fiber_conduche,
+    full_extension,
+    induced_word_map,
+    morphism_from_functor,
+)
+from polyconduche.fixtures import functor_corpus
+from polyconduche.manifests import CATEGORY, load_document
+from polyconduche.movements import DISTINCT, WITNESS, _unit_on, equivalent
+from polyconduche.polygraphs import (
+    BASIS,
+    NOT_BASIS,
+    UNKNOWN,
+    BasisBounds,
+    BasisVerdict,
+    _reachable_values,
+    _reduced,
+    check_basis,
+    default_word_bound,
+    indecomposables,
+    transfer_basis,
+)
+from polyconduche.terms import (
+    IDENTITY,
+    all_atoms,
+    compose_terms,
+    enumerate_terms,
+    evaluate,
+    evaluate_enumerated,
+    fold_enumerated,
+    restriction_extension,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CORPUS = functor_corpus()
+
+
+def plain_enumeration(extension, max_size, max_count=None, reduced=False):
+    """Every composable pair of smaller terms, tested pair by pair."""
+    base = extension.base
+    n = extension.dimension
+    by_size = [all_atoms(extension)]
+    total = len(by_size[0])
+    for size in range(1, max_size + 1):
+        layer = []
+        by_size.append(layer)
+        for k in range(n + 1):
+            for left_size in range(size):
+                for left in by_size[left_size]:
+                    for right in by_size[size - 1 - left_size]:
+                        if k == n:
+                            if left.src != right.tgt:
+                                continue
+                        elif base.boundary(left.src, k, SRC) != base.boundary(right.tgt, k, TGT):
+                            continue
+                        if reduced and not irreducible(extension, left, k, right):
+                            continue
+                        layer.append(compose_terms(left, k, right))
+                        total += 1
+                        if max_count is not None and total >= max_count:
+                            return [t for lst in by_size for t in lst], True
+    return [t for lst in by_size for t in lst], False
+
+
+def irreducible(extension, left, k, right):
+    n = extension.dimension
+    lid = left.name if left.kind == IDENTITY else None
+    rid = right.name if right.kind == IDENTITY else None
+    if lid is not None and lid == _unit_on(extension, right.tgt, k, TGT):
+        return False
+    if rid is not None and rid == _unit_on(extension, left.src, k, SRC):
+        return False
+    return not (
+        k < n
+        and lid is not None
+        and rid is not None
+        and (lid, rid) in extension.base.comp.get((n, k), {})
+    )
+
+
+def oracle_buckets(category, level, size_bound):
+    sigma = list(category.cells.get(level, []))
+    terms, _ = plain_enumeration(full_extension(category, level), size_bound)
+    buckets = {}
+    for term in terms:
+        buckets.setdefault(evaluate(category, sigma, term), []).append(term)
+    return buckets
+
+
+def oracle_fiber_conduche(functor, size_bound):
+    """Each fiber compared by the relabelled words of its members."""
+    up_to_dim = min(functor.source.dimension, functor.target.dimension)
+    failures = []
+    for level in range(1, up_to_dim + 1):
+        morphism = morphism_from_functor(functor, level)
+        src_buckets = oracle_buckets(functor.source, level, size_bound)
+        tgt_buckets = oracle_buckets(functor.target, level, size_bound)
+        for a in functor.source.cells.get(level, []):
+            seen = {}
+            fail = None
+            for member in src_buckets.get(a, []):
+                key = induced_word_map(morphism, member.word).tokens
+                if key in seen:
+                    fail = {
+                        "x": a,
+                        "level": level,
+                        "kind": "injectivity",
+                        "pair": [seen[key].serialize(), member.serialize()],
+                    }
+                    break
+                seen[key] = member
+            if fail is None:
+                for target_member in tgt_buckets.get(functor.apply(a), []):
+                    if target_member.word.tokens not in seen:
+                        fail = {
+                            "x": a,
+                            "level": level,
+                            "kind": "surjectivity",
+                            "unhit": target_member.serialize(),
+                        }
+                        break
+            if fail is not None:
+                failures.append(fail)
+    return ConducheReport(FAIL if failures else PASS, failures)
+
+
+def oracle_check_basis(category, level, sigma):
+    """check_basis with every reduced preimage word evaluated on its own."""
+    bounds = BasisBounds()
+    reachable = _reachable_values(category, level, sigma)
+    for a in category.cells.get(level, []):
+        if a not in reachable:
+            return BasisVerdict(NOT_BASIS, {"kind": "MissingPreimage", "cell": a})
+    extension = restriction_extension(category, level, sigma)
+    terms, truncated = plain_enumeration(
+        extension, default_word_bound(category, level), bounds.max_terms, reduced=True
+    )
+    buckets = {}
+    for term in terms:
+        buckets.setdefault(evaluate(category, sigma, term), []).append(term)
+    unresolved = []
+    for a in category.cells.get(level, []):
+        preimages = buckets.get(a, [])
+        if not preimages:
+            unresolved.append(a)
+            continue
+        for candidate in preimages[1:]:
+            outcome = equivalent(extension, candidate, preimages[0], bounds.search)
+            if outcome.verdict == DISTINCT:
+                pair = [preimages[0].serialize(), candidate.serialize()]
+                return BasisVerdict(NOT_BASIS, {"kind": "DisconnectedPair", "pair": pair, "cell": a})
+            if outcome.verdict != WITNESS and a not in unresolved:
+                unresolved.append(a)
+    if truncated and not unresolved:
+        return BasisVerdict(UNKNOWN, None, ["<enumeration truncated>"])
+    if unresolved:
+        return BasisVerdict(UNKNOWN, None, unresolved)
+    return BasisVerdict(BASIS)
+
+
+def finite_categories():
+    """Every shipped valid category fixture and every corpus category, by name."""
+    out = {}
+    for path in sorted(FIXTURES.glob("*.cat.json")):
+        if path.name.startswith("bad_"):
+            continue
+        kind, category = load_document(path)
+        assert kind == CATEGORY
+        out[path.name] = category
+    for name, functor in CORPUS:
+        out[f"{name}.source"] = functor.source
+        out[f"{name}.target"] = functor.target
+    return sorted(out.items())
+
+
+CATEGORIES = finite_categories()
+
+
+@pytest.mark.parametrize("size_bound", [1, 2, 3])
+def test_fiber_conduche_matches_per_term_oracle(size_bound):
+    verdicts = set()
+    for name, functor in CORPUS:
+        expected = oracle_fiber_conduche(functor, size_bound).to_json()
+        assert fiber_conduche(functor, size_bound).to_json() == expected, name
+        verdicts.add(expected["verdict"])
+    assert verdicts == {PASS, FAIL}
+
+
+def test_check_basis_matches_per_term_oracle():
+    verdicts = set()
+    for name, functor in CORPUS:
+        source, target = functor.source, functor.target
+        sigma_d = target.basis or {
+            dim: sorted(indecomposables(target, dim)) for dim in range(target.dimension + 1)
+        }
+        transferred = transfer_basis(functor, sigma_d)
+        for level in range(1, source.dimension + 1):
+            for sigma in (transferred[level], list(source.cells.get(level, []))):
+                expected = oracle_check_basis(source, level, sigma).to_json()
+                got = check_basis(source, level, sigma).to_json()
+                assert got == expected, (name, level, sigma)
+                verdicts.add(expected["verdict"])
+    assert BASIS in verdicts and NOT_BASIS in verdicts
+
+
+@pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])
+def test_fold_enumerated_equals_evaluate(category):
+    for level in range(1, category.dimension + 1):
+        sigma = list(category.cells.get(level, []))
+        terms, _ = enumerate_terms(full_extension(category, level), 3)
+        expected = [evaluate(category, sigma, term) for term in terms]
+        assert evaluate_enumerated(category, terms) == expected
+        sizes = fold_enumerated(terms, lambda atom: 0, lambda left, right, k: left + right + 1)
+        assert sizes == [term.size for term in terms]
+
+
+@pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])
+def test_enumerate_terms_matches_plain_enumeration(category):
+    for level in range(1, category.dimension + 1):
+        extension = full_extension(category, level)
+        for max_count in (None, 40):
+            for reduced in (False, True):
+                admit = _reduced(extension) if reduced else None
+                got, cut = enumerate_terms(extension, 3, max_count, admit=admit)
+                want, want_cut = plain_enumeration(extension, 3, max_count, reduced)
+                assert cut == want_cut
+                assert [t.serialize() for t in got] == [t.serialize() for t in want]

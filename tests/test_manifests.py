@@ -137,3 +137,11 @@ def test_shipped_fixture_documents_load_with_the_expected_kind():
         kind, _ = load_document(path)
         suffix = path.name.rsplit(".", 2)[-2]
         assert kind == {"cat": CATEGORY, "ext": EXTENSION, "fun": FUNCTOR}[suffix]
+
+
+def test_functor_maps_must_be_objects_keyed_by_level():
+    doc = functor_to_json(collapse_functor())
+    with pytest.raises(SchemaError, match="'map'"):
+        functor_from_json(dict(doc, map=[]), HERE)
+    with pytest.raises(SchemaError, match="integer levels"):
+        functor_from_json(dict(doc, map={"top": {}}), HERE)
