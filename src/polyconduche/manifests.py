@@ -40,14 +40,14 @@ def _require(doc: dict, key: str):
 
 
 def _by_level(payload, key: str, kind: type) -> dict:
-    """A JSON object keyed by integer levels, each value read as a list or a
-    dict."""
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{key!r} must be an object keyed by level")
+    """A JSON object keyed by integer levels, with a list or a dict (kind) at
+    each level."""
+    if not isinstance(payload, dict) or not all(isinstance(v, kind) for v in payload.values()):
+        raise SchemaError(f"{key!r} must be an object keyed by level, a {kind.__name__} at each")
     try:
         return {int(level): kind(value) for level, value in payload.items()}
-    except (TypeError, ValueError):
-        raise SchemaError(f"{key!r} needs integer levels, each with a {kind.__name__}") from None
+    except ValueError:
+        raise SchemaError(f"{key!r} has a non-integer level") from None
 
 
 def category_from_json(doc: dict) -> PresentedCategory:

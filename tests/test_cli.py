@@ -382,6 +382,7 @@ def test_conduche_dim_below_one_is_a_usage_error(capsys, mode, dim):
         ("basis", ["f"]),
         ("comp", []),
         ("cells", {"one": ["x"]}),
+        ("cells", {"0": "xz"}),
         ("src", {"1": ["x"]}),
         ("basis", {"1.5": ["f"]}),
     ],

@@ -143,5 +143,5 @@ def test_functor_maps_must_be_objects_keyed_by_level():
     doc = functor_to_json(collapse_functor())
     with pytest.raises(SchemaError, match="'map'"):
         functor_from_json(dict(doc, map=[]), HERE)
-    with pytest.raises(SchemaError, match="integer levels"):
+    with pytest.raises(SchemaError, match="non-integer level"):
         functor_from_json(dict(doc, map={"top": {}}), HERE)
