@@ -11,32 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import (
-    SRC,
-    TGT,
-    OmegaFunctor,
-    PresentedCategory,
-    truncate,
-)
-from .errors import BadOccurrence, NotLiftable, NotWellFormed, SchemaError
+from .categories import OmegaFunctor, PresentedCategory, truncate
+from .errors import NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     DISTINCT,
     ElementaryMovement,
     SearchBounds,
     WITNESS,
+    apply_movement,
+    enumerate_movements,
     equivalent,
 )
 from .terms import (
+    GENERATOR,
     CellularExtension,
     Term,
     check_term,
     enumerate_terms,
-    evaluate,
     evaluate_enumerated,
     fold_enumerated,
     restriction_extension,
-    splice,
-    subterm_at,
 )
 from .words import (
     GEN_KIND,
@@ -241,10 +235,10 @@ def induced_movement(
 
 @dataclass
 class FiberQuery:
-    """One fiber to compare: `a` is a cell name (finite ambient route) or a
-    representative Term (equivalence route)."""
+    """One fiber to compare: the equivalence class of the representative
+    term `a`, over the chosen source and target generators."""
 
-    a: object
+    a: Term
     sigma_c: list[str]
     sigma_d: list[str]
     size_bound: int
@@ -274,19 +268,15 @@ def _restrict_generators(
 
 
 def check_fiber_bijection(
-    morphism: ExtensionMorphism,
-    query: FiberQuery,
-    bounds: SearchBounds | None = None,
-    source_category: PresentedCategory | None = None,
-    target_category: PresentedCategory | None = None,
+    morphism: ExtensionMorphism, query: FiberQuery, bounds: SearchBounds | None = None
 ) -> FiberReport:
     """Is the induced word map a bijection on this fiber, up to the bound?
 
-    Membership of a candidate word in the fiber is decided by evaluation
-    when the ambient categories are finite and supplied, and by bounded
-    equivalence search against the representative otherwise; in the latter
-    case an Unknown membership contaminates the verdict unless a definite
-    injectivity collision was already found.
+    Membership of a candidate word in the fiber is decided by bounded
+    equivalence search against the representative or its image, so an
+    Unknown membership contaminates the verdict unless a definite
+    injectivity collision was already found. Image words are compared by
+    shape ids, as in fiber_conduche.
     """
     sigma_d = set(query.sigma_d)
     preimage = sorted(
@@ -297,75 +287,54 @@ def check_fiber_bijection(
 
     ext_c = _restrict_generators(morphism.source, sorted(set(query.sigma_c)))
     ext_d = _restrict_generators(morphism.target, sorted(sigma_d))
-    finite = isinstance(query.a, str)
-    if finite and (source_category is None or target_category is None):
-        raise SchemaError("cell-name queries need the ambient categories")
+    rep_image = induced_term(morphism, query.a)
 
-    if finite:
-        rep_image = None
-        target_value = morphism.phi.get(query.a)
-        if target_value is None:
-            raise SchemaError(f"{query.a!r} has no image under the morphism")
-    else:
-        rep: Term = query.a
-        rep_image = induced_term(morphism, rep)
-        target_value = None
-
-    def member_src(candidate: Term) -> bool | None:
-        if finite:
-            return evaluate(source_category, query.sigma_c, candidate) == query.a
-        outcome = equivalent(morphism.source, candidate, rep, bounds)
+    def member(extension: CellularExtension, candidate: Term, rep: Term) -> bool | None:
+        outcome = equivalent(extension, candidate, rep, bounds)
         if outcome.verdict == WITNESS:
             return True
         if outcome.verdict == DISTINCT:
             return False
         return None
 
-    def member_tgt(candidate: Term) -> bool | None:
-        if finite:
-            value = evaluate(target_category, query.sigma_d, candidate)
-            return value == target_value
-        outcome = equivalent(morphism.target, candidate, rep_image, bounds)
-        if outcome.verdict == WITNESS:
-            return True
-        if outcome.verdict == DISTINCT:
-            return False
-        return None
+    def source_atom(atom: Term) -> tuple:
+        if atom.kind == GENERATOR:
+            return (atom.kind, morphism.phi[atom.name])
+        return (atom.kind, morphism.base.apply(atom.name))
 
+    shapes: dict[tuple, int] = {}
     candidates_c, _ = enumerate_terms(ext_c, query.size_bound)
+    source_shapes = _image_shapes(candidates_c, shapes, source_atom)
     unknown_src = False
-    seen_images: dict[tuple, Term] = {}
-    members_src: list[Term] = []
-    for candidate in candidates_c:
-        verdict = member_src(candidate)
+    seen: dict[int, Term] = {}
+    for candidate, shape in zip(candidates_c, source_shapes):
+        verdict = member(ext_c, candidate, query.a)
         if verdict is None:
             unknown_src = True
             continue
         if not verdict:
             continue
-        members_src.append(candidate)
-        image = induced_word_map(morphism, candidate.word)
-        key = image.tokens
-        if key in seen_images:
+        if shape in seen:
             return FiberReport(
                 FAIL,
                 {
                     "kind": "injectivity",
-                    "pair": [seen_images[key].serialize(), candidate.serialize()],
-                    "image": w_serialize(image),
+                    "pair": [seen[shape].serialize(), candidate.serialize()],
+                    "image": w_serialize(induced_word_map(morphism, candidate.word)),
                 },
             )
-        seen_images[key] = candidate
+        seen[shape] = candidate
 
     candidates_d, _ = enumerate_terms(ext_d, query.size_bound)
     unknown_tgt = False
     unhit: list[Term] = []
-    for candidate in candidates_d:
-        verdict = member_tgt(candidate)
+    target_shapes = _image_shapes(candidates_d, shapes, lambda atom: (atom.kind, atom.name))
+    for candidate, shape in zip(candidates_d, target_shapes):
+        verdict = member(ext_d, candidate, rep_image)
         if verdict is None:
             unknown_tgt = True
             continue
-        if verdict and candidate.word.tokens not in seen_images:
+        if verdict and shape not in seen:
             unhit.append(candidate)
 
     if unhit and not unknown_src:
@@ -431,23 +400,29 @@ def _value_buckets(
     category: PresentedCategory, level: int, size_bound: int, shapes: dict, atom_key
 ) -> dict[str, list[tuple[int, Term]]]:
     """The level's terms up to the size bound, bucketed by value, each with
-    the shape id of its image word.
+    the shape id of its image word (see _image_shapes)."""
+    terms, _ = enumerate_terms(full_extension(category, level), size_bound)
+    ids = _image_shapes(terms, shapes, atom_key)
+    buckets: dict[str, list[tuple[int, Term]]] = {}
+    for term, value, shape in zip(terms, evaluate_enumerated(category, terms), ids):
+        buckets.setdefault(value, []).append((shape, term))
+    return buckets
+
+
+def _image_shapes(terms: list[Term], shapes: dict, atom_key) -> list[int]:
+    """The shape id of each term's image word, for a factor-closed list
+    such as enumerate_terms returns.
 
     atom_key(atom) names the image of an atom; a composite's shape is
     (left id, k, right id). Ids are interned in `shapes`, so, the induced
     word map being token-wise, two terms of one level have the same image
     word exactly when their ids are equal.
     """
-    terms, _ = enumerate_terms(full_extension(category, level), size_bound)
-    ids = fold_enumerated(
+    return fold_enumerated(
         terms,
         lambda atom: shapes.setdefault(atom_key(atom), len(shapes)),
         lambda left, right, k: shapes.setdefault((left, k, right), len(shapes)),
     )
-    buckets: dict[str, list[tuple[int, Term]]] = {}
-    for term, value, shape in zip(terms, evaluate_enumerated(category, terms), ids):
-        buckets.setdefault(value, []).append((shape, term))
-    return buckets
 
 
 # -- movement lifting --------------------------------------------------------
@@ -458,111 +433,26 @@ def lift_movement(
 ) -> tuple[ElementaryMovement, Term]:
     """Lift a downstairs movement along the morphism at a given preimage.
 
-    The occurrence sits at the same token span upstairs because the induced
-    word map preserves token structure. Cases 1 and 5 lift verbatim; unit
-    and identity cases need degeneracy or factorization lifts in the source
-    base and raise NotLiftable when none exists.
+    The lift is the first movement of the lifted input, in enumeration
+    order, at the same occurrence and of the same case and direction whose
+    contractum maps onto the downstairs contractum; the induced word map
+    preserves token structure, so the occurrence sits at the same token
+    span. NotLiftable when no movement upstairs maps onto this one.
     """
     if induced_word_map(morphism, lifted_input.word).tokens != (
         movement.prefix.tokens + movement.redex.word.tokens + movement.suffix.tokens
     ):
         raise SchemaError("the lifted input does not map onto the movement's input")
-    ext = morphism.source
-    start = movement.prefix_len
-    end = start + movement.redex.length
-    try:
-        redex_up = subterm_at(lifted_input, start, end)
-    except BadOccurrence:
-        raise NotLiftable(f"case {movement.case}: no subterm at the occurrence") from None
-
-    contractum_word = _lift_contractum(morphism, movement, redex_up)
-    try:
-        contractum_up = check_term(ext, contractum_word)
-    except NotWellFormed as exc:
-        raise NotLiftable(f"case {movement.case}: lifted contractum is ill formed ({exc})")
-    lifted = ElementaryMovement(
-        lifted_input.word.sub(0, start),
-        lifted_input.word.sub(end, len(lifted_input.word)),
-        redex_up,
-        contractum_up,
-        movement.case,
-        movement.direction,
-    )
-    return lifted, splice(lifted_input, start, end, contractum_up)
-
-
-def _lift_contractum(morphism, movement, node: Term) -> Word:
-    from .movements import FORWARD, _unit_on
-    from .terms import atom_word, pair_word
-
-    ext = morphism.source
-    base = ext.base
-    n = ext.dimension
-    case, direction = movement.case, movement.direction
-
-    if case in (1, 5):
-        if node.kind != "composite":
-            raise NotLiftable(f"case {case}: occurrence is not a composite")
-        k = node.level
-        left = node.left
-        right = node.right
-        if case == 1 and direction == FORWARD:
-            if left.kind != "composite" or left.level != k:
-                raise NotLiftable("case 1: left factor shape mismatch")
-            return pair_word(left.left.word, k, pair_word(left.right.word, k, right.word))
-        if case == 1:
-            if right.kind != "composite" or right.level != k:
-                raise NotLiftable("case 1: right factor shape mismatch")
-            return pair_word(pair_word(left.word, k, right.left.word), k, right.right.word)
-        if left.kind != "composite" or right.kind != "composite":
-            raise NotLiftable("case 5: factors are not composites")
-        inner = left.level
-        if right.level != inner:
-            raise NotLiftable("case 5: factor levels disagree")
-        x, y = left.left.word, left.right.word
-        z, t = right.left.word, right.right.word
-        return pair_word(pair_word(x, k, z), inner, pair_word(y, k, t))
-
-    if case in (2, 3):
-        if direction == FORWARD:
-            if node.kind != "composite":
-                raise NotLiftable(f"case {case}: occurrence is not a composite")
-            keep = node.right if case == 2 else node.left
-            drop = node.left if case == 2 else node.right
-            if drop.kind != "identity":
-                raise NotLiftable(f"case {case}: no identity factor to erase")
-            return keep.word
-        # Backward: insert the unit the downstairs insertion prescribes.
-        k = movement.contractum.level
-        if k is None:
-            raise NotLiftable(f"case {case}: malformed downstairs contractum")
-        if case == 2:
-            return pair_word(atom_word("identity", _unit_on(ext, node.tgt, k, TGT)), k, node.word)
-        return pair_word(node.word, k, atom_word("identity", _unit_on(ext, node.src, k, SRC)))
-
-    # case 4
-    if direction == FORWARD:
-        if node.kind != "composite":
-            raise NotLiftable("case 4: occurrence is not a composite")
-        left = node.left
-        right = node.right
-        if left.kind != "identity" or right.kind != "identity":
-            raise NotLiftable("case 4: factors are not identity atoms")
-        k = node.level
-        if (left.name, right.name) not in base.comp.get((n, k), {}):
-            raise NotLiftable("case 4: base composite missing")
-        return atom_word("identity", base.compose(left.name, right.name, k))
-    if node.kind != "identity":
-        raise NotLiftable("case 4: occurrence is not an identity atom")
-    contractum = movement.contractum
-    k = contractum.level
-    if k is None:
-        raise NotLiftable("case 4: malformed downstairs contractum")
-    want = (contractum.left.name, contractum.right.name)
-    for (c, d) in base.factorizations(node.name, n, k):
-        if (morphism.base.apply(c), morphism.base.apply(d)) == want:
-            return pair_word(atom_word("identity", c), k, atom_word("identity", d))
-    raise NotLiftable("case 4: no factorization lifts the split")
+    want = movement.contractum.word.tokens
+    for lifted in enumerate_movements(morphism.source, lifted_input, movement.direction):
+        if (
+            lifted.prefix_len == movement.prefix_len
+            and lifted.redex.length == movement.redex.length
+            and lifted.case == movement.case
+            and induced_word_map(morphism, lifted.contractum.word).tokens == want
+        ):
+            return lifted, apply_movement(lifted_input, lifted)
+    raise NotLiftable(f"case {movement.case}: no movement upstairs maps onto this one")
 
 
 def is_rigid(

@@ -55,6 +55,8 @@ def category_from_json(doc: dict) -> PresentedCategory:
     if not isinstance(dimension, int) or dimension < 0:
         raise SchemaError("dimension must be a non-negative integer")
     cells = _by_level(_require(doc, "cells"), "cells", list)
+    if dimension >= len(cells):
+        raise SchemaError(f"dimension {dimension} needs a cell list for each level 0..{dimension}")
     src = _by_level(doc.get("src", {}), "src", dict)
     tgt = _by_level(doc.get("tgt", {}), "tgt", dict)
     ids = _by_level(doc.get("id", {}), "id", dict)

@@ -194,19 +194,6 @@ class TermIndex:
     root: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class AtomDecomposition:
-    kind: str  # "generator" | "identity"
-    name: str
-
-
-@dataclass
-class TermDecomposition:
-    left: Term
-    level: int
-    right: Term
-
-
 def occurrences(term: Term):
     """Every subterm occurrence as (subterm, start token), in token order."""
     stack = [(term, 0)]
@@ -306,24 +293,6 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
             raise NotWellFormed(end, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
         pending[-1][:] = [node, end]
         start = end + 1
-
-
-def term_boundary(term: Term, k: int, side: str) -> str:
-    """s^k or t^k of a term; the top level is cached, lower ones computed."""
-    n = term.extension.dimension
-    if k > n:
-        raise LevelError(f"boundary level {k} above extension dimension {n}")
-    top = term.src if side == SRC else term.tgt
-    if k == n:
-        return top
-    return term.extension.base.boundary(top, k, side)
-
-
-def decompose(term: Term):
-    """Top-level shape: an atom marker or (left, k, right) as checked terms."""
-    if term.left is None:
-        return AtomDecomposition(term.kind, term.name)
-    return TermDecomposition(term.left, term.level, term.right)
 
 
 def _path_to(term: Term, start: int, end: int) -> tuple[Term, list[tuple[Term, bool]]]:
@@ -560,6 +529,6 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
                 right = _atom(extension, IDENTITY, base.identity_to(want, n))
         if left.size + right.size + 1 > max_size:
             break
-        current = compose_terms(left, k, right)
+        current = _pair(left, k, right)
         pool.append(current)
     return current

@@ -399,3 +399,25 @@ def test_malformed_category_tables_are_usage_errors(capsys, tmp_path, command, k
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert repr(key) in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "transfer", "conduche"])
+def test_dimension_beyond_the_declared_levels_is_a_usage_error(tmp_path, command):
+    # A category's tables are walked level by level up to its dimension, so
+    # one far beyond the declared levels must be refused on load.
+    (tmp_path / "huge.cat.json").write_text(
+        json.dumps({"dimension": 10**30, "cells": {"0": ["x"]}})
+    )
+    (tmp_path / "huge.fun.json").write_text(
+        json.dumps({"source": "huge.cat.json", "target": "huge.cat.json", "map": {"0": {"x": "x"}}})
+    )
+    document = "huge.cat.json" if command == "validate" else "huge.fun.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyconduche", command, str(tmp_path / document)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "dimension" in proc.stderr

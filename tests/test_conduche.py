@@ -1,6 +1,6 @@
 import pytest
 
-from polyconduche.categories import identity_functor
+from polyconduche.categories import OmegaFunctor, identity_functor
 from polyconduche.conduche import (
     FAIL,
     PASS,
@@ -28,9 +28,10 @@ from polyconduche.fixtures import (
     inflate_functor,
     parallel_pair_collapse,
     path2_category,
+    terminal_category,
 )
-from polyconduche.movements import BACKWARD, apply_movement, enumerate_movements
-from polyconduche.terms import check_term
+from polyconduche.movements import BACKWARD, FORWARD, apply_movement, enumerate_movements
+from polyconduche.terms import all_atoms, check_term, compose_terms
 from polyconduche.words import serialize, tokenize
 
 
@@ -124,34 +125,13 @@ def test_fiber_route_matches_table_on_named_functors():
     }
 
 
-def test_fiber_bijection_finite_route():
-    f = identity_functor(path2_category())
-    m = morphism_from_functor(f, 1)
-    sigma = sorted(m.source.generators)
-    query = FiberQuery("gf", sigma, sigma, 2)
-    report = check_fiber_bijection(
-        m, query, source_category=f.source, target_category=f.target
-    )
-    assert report.verdict == PASS
-
-
 def test_fiber_bijection_requires_exact_preimage():
-    f = identity_functor(path2_category())
-    m = morphism_from_functor(f, 1)
+    m = morphism_from_functor(identity_functor(path2_category()), 1)
     with pytest.raises(SchemaError):
         check_fiber_bijection(
             m,
-            FiberQuery("gf", ["gf"], sorted(m.target.generators), 1),
-            source_category=f.source,
-            target_category=f.target,
+            FiberQuery(term(m.source, "(c:gf)"), ["gf"], sorted(m.target.generators), 1),
         )
-
-
-def test_fiber_bijection_needs_categories_for_cell_queries():
-    m = morphism_from_functor(identity_functor(path2_category()), 1)
-    sigma = sorted(m.source.generators)
-    with pytest.raises(SchemaError):
-        check_fiber_bijection(m, FiberQuery("gf", sigma, sigma, 1))
 
 
 def test_rigidity():
@@ -192,6 +172,28 @@ def test_lift_movement_splits():
     assert out2.serialize() == "((i:u)*0(i:1x))"
     with pytest.raises(NotLiftable):
         lift_movement(m, splits[2], up)
+
+
+def test_unit_erasure_lifts_only_at_a_unit():
+    # The arrow goes to the terminal category, so u maps to an identity: the
+    # image of (i:u) is a unit downstairs although (i:u) is no unit upstairs,
+    # and erasing it there would change the term's boundary.
+    f = OmegaFunctor(
+        arrow_category(),
+        terminal_category(),
+        {0: {"x": "star", "y": "star"}, 1: {"1x": "id_star", "1y": "id_star", "u": "id_star"}},
+    )
+    m = morphism_from_functor(inflate_functor(f, 2), 2)
+    atoms = {atom.serialize(): atom for atom in all_atoms(m.source)}
+    for case, (left, right) in ((2, ("(i:u)", "(c:1(1x))")), (3, ("(c:1(1y))", "(i:u)"))):
+        up = compose_terms(atoms[left], 0, atoms[right])
+        (movement,) = [
+            mv
+            for mv in enumerate_movements(m.target, induced_term(m, up), FORWARD)
+            if mv.case == case
+        ]
+        with pytest.raises(NotLiftable):
+            lift_movement(m, movement, up)
 
 
 def test_lift_movement_checks_the_input_image():

@@ -2,15 +2,11 @@ from random import Random
 
 import pytest
 
-from polyconduche.categories import SRC, TGT
 from polyconduche.errors import BoundaryMismatch, NotWellFormed
 from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
 from polyconduche.terms import (
-    AtomDecomposition,
-    TermDecomposition,
     check_term,
     compose_terms,
-    decompose,
     enumerate_terms,
     evaluate,
     generator_multiset,
@@ -18,7 +14,6 @@ from polyconduche.terms import (
     restriction_extension,
     subterm_at,
     substitute,
-    term_boundary,
 )
 from polyconduche.words import tokenize
 
@@ -45,8 +40,6 @@ def test_low_level_composition_boundaries():
     # below the top level the boundary composes in the base
     t = term(eh_extension(), "((c:a)*0(c:b))")
     assert (t.src, t.tgt) == ("id_star", "id_star")
-    assert term_boundary(t, 0, SRC) == "star"
-    assert term_boundary(t, 0, TGT) == "star"
 
 
 def test_top_level_composition_swaps_boundaries():
@@ -80,12 +73,12 @@ def test_boundary_mismatch_reports_level():
 
 def test_decompose():
     ext = eh_extension()
-    assert decompose(term(ext, "(c:a)")) == AtomDecomposition("generator", "a")
-    assert decompose(term(ext, "(i:id_star)")) == AtomDecomposition(
-        "identity", "id_star"
-    )
-    d = decompose(term(ext, "((c:a)*0(c:b))"))
-    assert isinstance(d, TermDecomposition)
+    a = term(ext, "(c:a)")
+    assert (a.kind, a.name, a.left) == ("generator", "a", None)
+    unit = term(ext, "(i:id_star)")
+    assert (unit.kind, unit.name, unit.left) == ("identity", "id_star", None)
+    d = term(ext, "((c:a)*0(c:b))")
+    assert d.kind == "composite"
     assert d.level == 0
     assert d.left.serialize() == "(c:a)"
     assert d.right.serialize() == "(c:b)"
