@@ -1,15 +1,18 @@
 """Command-line surface.
 
 Every command prints one JSON document (or DOT with --dot) and exits with
-0 for Pass/success, 1 for Fail/NotBasis/Distinct, 2 for Unknown, and 3 for
-usage or schema errors. Output is byte-identical across runs for identical
-inputs and flags.
+0 for Pass/success, 1 for Fail/NotBasis/Distinct, 2 for Unknown, 3 for
+usage or schema errors, and 4 for an internal error (a bug, never a
+verdict). Output is byte-identical across runs for identical inputs and
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
+from dataclasses import asdict
 
 from .categories import validate_category, validate_functor
 from .conduche import (
@@ -56,6 +59,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {
     WITNESS: EXIT_OK,
@@ -108,14 +112,6 @@ def _search_bounds(args) -> SearchBounds:
         max_steps=args.max_steps,
         max_visited=SearchBounds.from_env().max_visited,
     )
-
-
-def _bounds_meta(bounds: SearchBounds) -> dict:
-    return {
-        "size_slack": bounds.size_slack,
-        "max_steps": bounds.max_steps,
-        "max_visited": bounds.max_visited,
-    }
 
 
 def _add_search_flags(sub) -> None:
@@ -186,7 +182,7 @@ def cmd_equiv(args) -> int:
     v = check_term(extension, tokenize(args.word2))
     bounds = _search_bounds(args)
     outcome = equivalent(extension, u, v, bounds)
-    report = {"verdict": outcome.verdict, "bounds": _bounds_meta(bounds)}
+    report = {"verdict": outcome.verdict, "bounds": asdict(bounds)}
     if outcome.reason is not None:
         report["reason"] = outcome.reason
     if outcome.witness is not None:
@@ -265,7 +261,7 @@ def cmd_basis(args) -> int:
             "dim": args.dim,
             "set": sigma,
             "bounds": dict(
-                _bounds_meta(search),
+                asdict(search),
                 word_size=effective,
                 max_terms=args.max_terms,
             ),
@@ -482,6 +478,10 @@ def main(argv: list[str] | None = None) -> int:
     except PolyconducheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

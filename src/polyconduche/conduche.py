@@ -219,10 +219,10 @@ def induced_term(morphism: ExtensionMorphism, term: Term) -> Term:
 def induced_movement(
     morphism: ExtensionMorphism, movement: ElementaryMovement
 ) -> ElementaryMovement:
-    """Relabel all four components of a movement through the morphism."""
+    """Relabel the source, redex and contractum of a movement through the morphism."""
     return ElementaryMovement(
-        induced_word_map(morphism, movement.prefix),
-        induced_word_map(morphism, movement.suffix),
+        induced_term(morphism, movement.source),
+        movement.prefix_len,
         induced_term(morphism, movement.redex),
         induced_term(morphism, movement.contractum),
         movement.case,
@@ -439,9 +439,7 @@ def lift_movement(
     preserves token structure, so the occurrence sits at the same token
     span. NotLiftable when no movement upstairs maps onto this one.
     """
-    if induced_word_map(morphism, lifted_input.word).tokens != (
-        movement.prefix.tokens + movement.redex.word.tokens + movement.suffix.tokens
-    ):
+    if induced_word_map(morphism, lifted_input.word).tokens != movement.source.word.tokens:
         raise SchemaError("the lifted input does not map onto the movement's input")
     want = movement.contractum.word.tokens
     for lifted in enumerate_movements(morphism.source, lifted_input, movement.direction):

@@ -9,6 +9,7 @@ path, resolved relative to the referencing file.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .categories import OmegaFunctor, PresentedCategory
@@ -39,11 +40,20 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _strings(values) -> bool:
+    return set(map(type, values)) <= {str}
+
+
 def _by_level(payload, key: str, kind: type) -> dict:
-    """A JSON object keyed by integer levels, with a list or a dict (kind) at
-    each level."""
-    if not isinstance(payload, dict) or not all(isinstance(v, kind) for v in payload.values()):
-        raise SchemaError(f"{key!r} must be an object keyed by level, a {kind.__name__} at each")
+    """A JSON object keyed by integer levels, with a list or a dict (kind) of
+    strings at each level."""
+    if not isinstance(payload, dict) or not all(
+        isinstance(v, kind) and _strings(v.values() if kind is dict else v)
+        for v in payload.values()
+    ):
+        raise SchemaError(
+            f"{key!r} must be an object keyed by level, a {kind.__name__} of strings at each"
+        )
     try:
         return {int(level): kind(value) for level, value in payload.items()}
     except ValueError:
@@ -52,7 +62,7 @@ def _by_level(payload, key: str, kind: type) -> dict:
 
 def category_from_json(doc: dict) -> PresentedCategory:
     dimension = _require(doc, "dimension")
-    if not isinstance(dimension, int) or dimension < 0:
+    if type(dimension) is not int or dimension < 0:
         raise SchemaError("dimension must be a non-negative integer")
     cells = _by_level(_require(doc, "cells"), "cells", list)
     if dimension >= len(cells):
@@ -72,11 +82,13 @@ def category_from_json(doc: dict) -> PresentedCategory:
             raise SchemaError(f"bad composition key {key!r}, expected 'l*k'") from None
         if not isinstance(triples, list):
             raise SchemaError(f"composition table {key!r} must be an array of triples")
-        table: dict[tuple[str, str], str] = {}
         for triple in triples:
             if not isinstance(triple, list) or len(triple) != 3:
                 raise SchemaError(f"composition entries are triples, got {triple!r}")
-            left, right, result = triple
+        if not _strings(chain.from_iterable(triples)):
+            raise SchemaError(f"composition table {key!r} names a cell by a non-string")
+        table: dict[tuple[str, str], str] = {}
+        for left, right, result in triples:
             if (left, right) in table:
                 raise SchemaError(f"duplicate composition entry {left!r}, {right!r}")
             table[(left, right)] = result
@@ -110,17 +122,24 @@ def _resolve_category(payload, base_dir: Path) -> PresentedCategory:
         if nested_kind != CATEGORY:
             raise SchemaError(f"{payload!r} is not a category document")
         return nested
+    if not isinstance(payload, dict):
+        raise SchemaError("'base' must be a path or a category object")
     return category_from_json(payload)
 
 
 def extension_from_json(doc: dict, base_dir: Path) -> CellularExtension:
     base = _resolve_category(_require(doc, "base"), base_dir)
+    entries = _require(doc, "generators")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError("'generators' must be an array of objects")
     generators: dict[str, tuple[str, str]] = {}
-    for entry in _require(doc, "generators"):
-        name = _require(entry, "name")
+    for entry in entries:
+        name, src, tgt = (_require(entry, key) for key in ("name", "src", "tgt"))
+        if not _strings((name, src, tgt)):
+            raise SchemaError(f"generator name, src and tgt must be strings, got {entry!r}")
         if name in generators:
             raise SchemaError(f"duplicate generator {name!r}")
-        generators[name] = (_require(entry, "src"), _require(entry, "tgt"))
+        generators[name] = (src, tgt)
     return CellularExtension(base, generators)
 
 

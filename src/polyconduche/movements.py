@@ -34,6 +34,7 @@ from .terms import (
     _atom,
     _composite,
     _pair,
+    _unit_on,
     fold,
     generator_multiset,
     meets,
@@ -54,24 +55,19 @@ MAX_VISITED_ENV = "POLYCONDUCHE_MAX_VISITED"
 class ElementaryMovement:
     """One rewrite step u = v e w  ->  v e' w at a fixed occurrence.
 
-    direction records the orientation of the underlying shape: a backward
-    movement has the shape's right-hand side as its redex. Movements that
-    enumerate_movements lists keep their source term and derive the prefix
-    v and suffix w from it only when asked.
+    source is the term u and prefix_len the token length of v; the prefix v
+    and suffix w are read from the source's word when asked. direction
+    records the orientation of the underlying shape: a backward movement has
+    the shape's right-hand side as its redex.
     """
 
-    __slots__ = (
-        "redex", "contractum", "case", "direction", "prefix_len",
-        "_prefix", "_suffix", "_source",
-    )
+    __slots__ = ("source", "prefix_len", "redex", "contractum", "case", "direction")
 
     def __init__(
-        self, prefix: Word, suffix: Word, redex: Term, contractum: Term, case: int, direction: str
+        self, source: Term, prefix_len: int, redex: Term, contractum: Term, case: int, direction: str
     ):
-        self._prefix = prefix
-        self._suffix = suffix
-        self._source = None
-        self.prefix_len = len(prefix)
+        self.source = source
+        self.prefix_len = prefix_len
         self.redex = redex
         self.contractum = contractum
         self.case = case
@@ -79,21 +75,17 @@ class ElementaryMovement:
 
     @property
     def prefix(self) -> Word:
-        if self._prefix is None:
-            self._prefix = self._source.word.sub(0, self.prefix_len)
-        return self._prefix
+        return self.source.word.sub(0, self.prefix_len)
 
     @property
     def suffix(self) -> Word:
-        if self._suffix is None:
-            word = self._source.word
-            self._suffix = word.sub(self.prefix_len + self.redex.length, len(word))
-        return self._suffix
+        word = self.source.word
+        return word.sub(self.prefix_len + self.redex.length, len(word))
 
     def inverted(self) -> "ElementaryMovement":
         return ElementaryMovement(
-            self.prefix,
-            self.suffix,
+            _splice(self.source, self),
+            self.prefix_len,
             self.contractum,
             self.redex,
             self.case,
@@ -114,21 +106,6 @@ class ElementaryMovement:
             "redex": self.redex.serialize(),
             "contractum": self.contractum.serialize(),
         }
-
-
-def _movement_at(
-    source: Term, start: int, redex: Term, contractum: Term, case: int, direction: str
-) -> ElementaryMovement:
-    """A movement of `source` whose redex starts at token `start`."""
-    movement = ElementaryMovement.__new__(ElementaryMovement)
-    movement._prefix = movement._suffix = None
-    movement._source = source
-    movement.prefix_len = start
-    movement.redex = redex
-    movement.contractum = contractum
-    movement.case = case
-    movement.direction = direction
-    return movement
 
 
 @dataclass
@@ -170,18 +147,6 @@ class SearchBounds:
         return SearchBounds(max_visited=value)
 
 
-def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
-    """The k-level unit over the k-boundary of an n-cell, as an n-cell.
-
-    At k = n this is the boundary cell itself.
-    """
-    base = extension.base
-    n = extension.dimension
-    if k == n:
-        return cell
-    return base.identity_to(base.boundary(cell, k, side), n)
-
-
 def enumerate_movements(
     extension: CellularExtension, term: Term, direction: str = "both"
 ) -> list[ElementaryMovement]:
@@ -220,11 +185,11 @@ def enumerate_movements(
                 if left.level == k:
                     inner = _pair(left.right, k, right)
                     contractum = _composite(left.left, k, inner, node.src, node.tgt)
-                    assoc.append(_movement_at(term, start, node, contractum, 1, FORWARD))
+                    assoc.append(ElementaryMovement(term, start, node, contractum, 1, FORWARD))
                 if left.kind == IDENTITY and left.name == unit(right.tgt, k, TGT).name:
-                    left_unit.append(_movement_at(term, start, node, right, 2, FORWARD))
+                    left_unit.append(ElementaryMovement(term, start, node, right, 2, FORWARD))
                 if right.kind == IDENTITY and right.name == unit(left.src, k, SRC).name:
-                    right_unit.append(_movement_at(term, start, node, left, 3, FORWARD))
+                    right_unit.append(ElementaryMovement(term, start, node, left, 3, FORWARD))
                 if (
                     k < n
                     and left.kind == IDENTITY
@@ -232,7 +197,7 @@ def enumerate_movements(
                     and (left.name, right.name) in base.comp.get((n, k), {})
                 ):
                     merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
-                    merge.append(_movement_at(term, start, node, merged, 4, FORWARD))
+                    merge.append(ElementaryMovement(term, start, node, merged, 4, FORWARD))
                 if left.level is not None and left.level == right.level and k < left.level:
                     contractum = _composite(
                         _pair(left.left, k, right.left),
@@ -241,12 +206,14 @@ def enumerate_movements(
                         node.src,
                         node.tgt,
                     )
-                    interchange.append(_movement_at(term, start, node, contractum, 5, FORWARD))
+                    interchange.append(
+                        ElementaryMovement(term, start, node, contractum, 5, FORWARD)
+                    )
             if want_bwd:
                 if right.level == k:
                     inner = _pair(left, k, right.left)
                     contractum = _composite(inner, k, right.right, node.src, node.tgt)
-                    assoc.append(_movement_at(term, start, node, contractum, 1, BACKWARD))
+                    assoc.append(ElementaryMovement(term, start, node, contractum, 1, BACKWARD))
                 if left.level is not None and left.level == right.level and left.level < k:
                     p, q, r, s = left.left, left.right, right.left, right.right
                     if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
@@ -254,32 +221,33 @@ def enumerate_movements(
                             _pair(p, k, r), left.level, _pair(q, k, s), node.src, node.tgt
                         )
                         interchange.append(
-                            _movement_at(term, start, node, contractum, 5, BACKWARD)
+                            ElementaryMovement(term, start, node, contractum, 5, BACKWARD)
                         )
         if want_bwd:
             for level in levels:
                 inserted = unit(node.tgt, level, TGT)
                 contractum = _composite(inserted, level, node, node.src, node.tgt)
-                left_unit.append(_movement_at(term, start, node, contractum, 2, BACKWARD))
+                left_unit.append(ElementaryMovement(term, start, node, contractum, 2, BACKWARD))
                 inserted = unit(node.src, level, SRC)
                 contractum = _composite(node, level, inserted, node.src, node.tgt)
-                right_unit.append(_movement_at(term, start, node, contractum, 3, BACKWARD))
+                right_unit.append(ElementaryMovement(term, start, node, contractum, 3, BACKWARD))
             if node.kind == IDENTITY:
                 for level in range(n):
                     for (c, d) in base.factorizations(node.name, n, level):
                         c_atom = _atom(extension, IDENTITY, c)
                         d_atom = _atom(extension, IDENTITY, d)
                         contractum = _composite(c_atom, level, d_atom, node.src, node.tgt)
-                        merge.append(_movement_at(term, start, node, contractum, 4, BACKWARD))
+                        merge.append(
+                            ElementaryMovement(term, start, node, contractum, 4, BACKWARD)
+                        )
     return assoc + left_unit + right_unit + merge + interchange
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
-    """Splice the contractum in at the recorded occurrence."""
-    if movement._source is not term:
-        expected = movement.prefix.tokens + movement.redex.word.tokens + movement.suffix.tokens
-        if term.word.tokens != expected:
-            raise Stale("movement does not match this word")
+    """Splice the contractum in at the recorded occurrence; Stale unless the
+    term is the movement's source or has the same word."""
+    if movement.source is not term and movement.source.word.tokens != term.word.tokens:
+        raise Stale("movement does not match this word")
     return _splice(term, movement)
 
 
@@ -288,32 +256,40 @@ def _splice(term: Term, movement: ElementaryMovement) -> Term:
     return splice(term, start, start + movement.redex.length, movement.contractum)
 
 
-def reduce(extension: CellularExtension, term: Term) -> Term:
-    return _reduce_with_path(extension, term)[0]
+def _innermost(movement: ElementaryMovement) -> tuple[int, int]:
+    return (movement.prefix_len + movement.redex.length, movement.prefix_len)
 
 
-def _reduce_with_path(
-    extension: CellularExtension, term: Term
+def _leftmost(movement: ElementaryMovement) -> int:
+    return movement.prefix_len
+
+
+def _normalize(
+    extension: CellularExtension, term: Term, cases: tuple[int, ...], key
 ) -> tuple[Term, list[ElementaryMovement]]:
-    """Apply forward cases 2, 3, 4 leftmost-innermost to a fixed point.
+    """Apply the least forward movement of the given cases under key until
+    none is left; returns the normal form and the movements taken.
 
-    Every step removes a composition symbol, so this terminates in at most
-    size(term) steps.
+    Unit erasure (cases 2, 3, 4) removes a composition symbol per step, and
+    right association (case 1) terminates. Together they give a complete
+    normal form for extensions of 0-categories, where no interchange or
+    identity-split movements exist.
     """
     path: list[ElementaryMovement] = []
     current = term
     while True:
         movements = [
-            m
-            for m in enumerate_movements(extension, current, FORWARD)
-            if m.case in (2, 3, 4)
+            m for m in enumerate_movements(extension, current, FORWARD) if m.case in cases
         ]
         if not movements:
             return current, path
-        movements.sort(key=lambda m: (m.prefix_len + m.redex.length, m.prefix_len))
-        step = movements[0]
+        step = min(movements, key=key)
         path.append(step)
         current = _splice(current, step)
+
+
+def reduce(extension: CellularExtension, term: Term) -> Term:
+    return _normalize(extension, term, (2, 3, 4), _innermost)[0]
 
 
 def equivalent(
@@ -333,11 +309,11 @@ def equivalent(
     if u.word == v.word:
         return EquivalenceOutcome(WITNESS, EquivalenceWitness(u.word, v.word, []))
 
-    ru, path_u = _reduce_with_path(extension, u)
-    rv, path_v = _reduce_with_path(extension, v)
+    ru, path_u = _normalize(extension, u, (2, 3, 4), _innermost)
+    rv, path_v = _normalize(extension, v, (2, 3, 4), _innermost)
     if extension.dimension == 0:
-        ru, rot_u = _associate_right(extension, ru)
-        rv, rot_v = _associate_right(extension, rv)
+        ru, rot_u = _normalize(extension, ru, (1,), _leftmost)
+        rv, rot_v = _normalize(extension, rv, (1,), _leftmost)
         path_u += rot_u
         path_v += rot_v
     if ru.word == rv.word:
@@ -355,27 +331,6 @@ def equivalent(
     return EquivalenceOutcome(WITNESS, EquivalenceWitness(u.word, v.word, steps))
 
 
-def _associate_right(
-    extension: CellularExtension, term: Term
-) -> tuple[Term, list[ElementaryMovement]]:
-    """Rotate with forward case 1 until fully right-associated.
-
-    With unit elimination this is a complete normal form for extensions of
-    0-categories, where no interchange or identity-split movements exist.
-    """
-    path: list[ElementaryMovement] = []
-    current = term
-    while True:
-        movements = [
-            m for m in enumerate_movements(extension, current, FORWARD) if m.case == 1
-        ]
-        if not movements:
-            return current, path
-        step = movements[0]
-        path.append(step)
-        current = _splice(current, step)
-
-
 def _bidirectional_search(
     extension: CellularExtension,
     start: Term,
@@ -386,53 +341,42 @@ def _bidirectional_search(
 ):
     """Meet-in-the-middle breadth-first search over the movement graph.
 
-    Frontiers expand level by level, smaller side first, nodes in
-    (word length, serialization) order, movements in enumeration order; the
-    first meeting point under that ordering is the witness, which makes
-    repeated queries byte-stable. Returns the step list or an Unknown reason.
+    Side 0 grows from start and side 1 from goal. Frontiers expand level by
+    level, smaller side first, nodes in (word length, serialization) order,
+    movements in enumeration order; the first meeting point under that
+    ordering is the witness, which makes repeated queries byte-stable. Each
+    visited set maps a word's tokens to the movement that first reached it
+    (None at the root), whose source is the parent. Returns the step list
+    or an Unknown reason.
     """
-    sides = {
-        "u": {"visited": {start.word.tokens: (None, None)}, "frontier": [start], "depth": 0},
-        "v": {"visited": {goal.word.tokens: (None, None)}, "frontier": [goal], "depth": 0},
-    }
-    if goal.word.tokens in sides["u"]["visited"]:
+    visited = [{start.word.tokens: None}, {goal.word.tokens: None}]
+    frontiers = [[start], [goal]]
+    depths = [0, 0]
+    if goal.word.tokens in visited[0]:
         return []
     total_visited = 2
 
-    def build_path(meet_tokens, landing_side: str, pending) -> list[ElementaryMovement]:
-        chains = {"u": [], "v": []}
-        for name in ("u", "v"):
-            visited = sides[name]["visited"]
-            cursor = meet_tokens
-            if name == landing_side and pending is not None:
-                parent_tokens, movement = pending
-                chains[name].append(movement)
-                cursor = parent_tokens
-            while visited[cursor][0] is not None:
-                parent_tokens, movement = visited[cursor]
-                chains[name].append(movement)
-                cursor = parent_tokens
-        forward = list(reversed(chains["u"]))
-        backward = [m.inverted() for m in chains["v"]]
-        return forward + backward
+    def chain(side: int, tokens) -> list[ElementaryMovement]:
+        """The movements from the side's root to tokens, last first."""
+        steps = []
+        movement = visited[side][tokens]
+        while movement is not None:
+            steps.append(movement)
+            movement = visited[side][movement.source.word.tokens]
+        return steps
 
     while True:
         expandable = [
-            name
-            for name in ("u", "v")
-            if sides[name]["frontier"]
-            and sides[name]["depth"] + 1 + sides["v" if name == "u" else "u"]["depth"]
-            <= max_steps
+            side
+            for side in (0, 1)
+            if frontiers[side] and depths[side] + 1 + depths[1 - side] <= max_steps
         ]
         if not expandable:
-            reason = "step-cap" if sides["u"]["frontier"] or sides["v"]["frontier"] else "exhausted-under-cap"
-            return reason
-        name = min(expandable, key=lambda s: (len(sides[s]["frontier"]), s))
-        side = sides[name]
-        visited = side["visited"]
-        other = sides["v" if name == "u" else "u"]["visited"]
+            return "step-cap" if frontiers[0] or frontiers[1] else "exhausted-under-cap"
+        side = min(expandable, key=lambda s: (len(frontiers[s]), s))
+        seen, other = visited[side], visited[1 - side]
         new_frontier: list[Term] = []
-        for node in sorted(side["frontier"], key=lambda t: (t.length, serialize(t.word))):
+        for node in sorted(frontiers[side], key=lambda t: (t.length, serialize(t.word))):
             tokens = node.word.tokens
             for movement in enumerate_movements(extension, node):
                 redex, contractum = movement.redex, movement.contractum
@@ -442,23 +386,19 @@ def _bidirectional_search(
                     continue
                 start = movement.prefix_len
                 key = tokens[:start] + contractum.word.tokens + tokens[start + redex.length :]
-                if key in visited:
+                if key in seen:
                     continue
+                seen[key] = movement
                 if key in other:
-                    if name == "v":
-                        # Hang the step on the v-chain before reconstruction.
-                        visited[key] = (tokens, movement)
-                        return build_path(key, "v", None)
-                    return build_path(key, "u", (tokens, movement))
-                visited[key] = (tokens, movement)
+                    return list(reversed(chain(0, key))) + [m.inverted() for m in chain(1, key)]
                 child = _splice(node, movement)
                 child._word = Word(key)  # the key is the child's word: keep, not rebuild
                 new_frontier.append(child)
                 total_visited += 1
                 if total_visited > max_visited:
                     return "visited-cap"
-        side["frontier"] = new_frontier
-        side["depth"] += 1
+        frontiers[side] = new_frontier
+        depths[side] += 1
 
 
 def extend_functor(

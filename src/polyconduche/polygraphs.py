@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
-from .movements import DISTINCT, SearchBounds, WITNESS, _unit_on, equivalent
+from .movements import DISTINCT, SearchBounds, WITNESS, equivalent
 from .terms import (
     IDENTITY,
     CellularExtension,
     Term,
+    _unit_on,
     enumerate_terms,
     evaluate_enumerated,
     restriction_extension,

@@ -147,6 +147,18 @@ def meets(extension: CellularExtension, left_src: str, k: int, right_tgt: str) -
     return base.boundary(left_src, k, SRC) == base.boundary(right_tgt, k, TGT)
 
 
+def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
+    """The k-level unit over the k-boundary of an n-cell, as an n-cell.
+
+    At k = n this is the boundary cell itself.
+    """
+    base = extension.base
+    n = extension.dimension
+    if k == n:
+        return cell
+    return base.identity_to(base.boundary(cell, k, side), n)
+
+
 def _composite(left: Term, k: int, right: Term, src: str, tgt: str) -> Term:
     """(left *k right) with boundaries the caller already knows."""
     return Term(
@@ -505,8 +517,8 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
     Levels and factors are drawn uniformly; when no pool partner fits, an
     identity atom on the needed boundary always does.
     """
-    base = extension.base
     n = extension.dimension
+    top_cells = extension.base.cells[n]
     pool = all_atoms(extension)
     if not pool:
         raise SchemaError("extension has no atoms to build from")
@@ -515,18 +527,13 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
     while current.size < target:
         left = rng.choice(pool + [current])
         k = rng.randint(0, n)
-        if k == n:
-            partners = [t for t in pool + [current] if t.tgt == left.src]
-            right = rng.choice(partners) if partners else _atom(extension, IDENTITY, left.src)
+        # Every target is a top cell: test each once, not each candidate.
+        fits = {tgt: meets(extension, left.src, k, tgt) for tgt in top_cells}
+        partners = [t for t in pool + [current] if fits[t.tgt]]
+        if partners:
+            right = rng.choice(partners)
         else:
-            want = base.boundary(left.src, k, SRC)
-            partners = [
-                t for t in pool + [current] if base.boundary(t.tgt, k, TGT) == want
-            ]
-            if partners:
-                right = rng.choice(partners)
-            else:
-                right = _atom(extension, IDENTITY, base.identity_to(want, n))
+            right = _atom(extension, IDENTITY, _unit_on(extension, left.src, k, SRC))
         if left.size + right.size + 1 > max_size:
             break
         current = _pair(left, k, right)

@@ -72,10 +72,6 @@ class Word:
 
     tokens: tuple[SymbolToken, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -87,10 +83,6 @@ class Word:
 
     def sub(self, start: int, end: int) -> "Word":
         return Word(self.tokens[start:end])
-
-    def size(self) -> int:
-        """Number of composition symbols."""
-        return sum(1 for t in self.tokens if t.kind == COMP_KIND)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from polyconduche import cli
 from polyconduche.cli import main
 from polyconduche.manifests import FUNCTOR, load_document
 
@@ -421,3 +422,75 @@ def test_dimension_beyond_the_declared_levels_is_a_usage_error(tmp_path, command
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "dimension" in proc.stderr
+
+
+def _set(path, value):
+    """A document edit: set the entry at `path` (keys and indices) to value."""
+
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if last is None:
+            doc.append(value)
+        else:
+            doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "fixture,edit,command",
+    [
+        pytest.param(EH, _set(["generators"], 5), ["validate"], id="generators-number"),
+        pytest.param(
+            EH,
+            _set(["generators"], 5),
+            ["equiv", BRAID_LEFT, BRAID_RIGHT],
+            id="generators-number-equiv",
+        ),
+        pytest.param(EH, _set(["generators", None], "a"), ["validate"], id="generator-string"),
+        pytest.param(EH, _set(["generators", 0, "name"], 5), ["validate"], id="generator-name"),
+        pytest.param(
+            EH, _set(["generators", 0, "tgt"], ["id_star"]), ["validate"], id="generator-tgt"
+        ),
+        pytest.param(EH, _set(["base"], 7), ["validate"], id="base-number"),
+        pytest.param(PATH2, _set(["cells", "0", None], ["a"]), ["validate"], id="cell-list"),
+        pytest.param(
+            PATH2, _set(["comp", "1*0", None], [["1x"], "1x", "1x"]), ["validate"], id="comp-triple"
+        ),
+        pytest.param(PATH2, _set(["id", "0", "x"], ["1x"]), ["validate"], id="id-value"),
+        pytest.param(
+            PATH2, _set(["id", "0", "x"], ["1x"]), ["basis", "--dim", "1"], id="id-value-basis"
+        ),
+        pytest.param(PATH2, _set(["basis", "1", None], 3), ["validate"], id="basis-entry"),
+        pytest.param(PATH2, _set(["dimension"], True), ["validate"], id="dimension-boolean"),
+        pytest.param(COLLAPSE, _set(["map", "0", "x"], 1), ["conduche"], id="functor-image"),
+    ],
+)
+def test_documents_with_non_string_names_are_usage_errors(capsys, tmp_path, fixture, edit, command):
+    doc = json.loads(Path(fixture).read_text())
+    for key in ("base", "source", "target"):
+        if isinstance(doc.get(key), str):
+            doc[key] = str(FIXTURES / doc[key])
+    edit(doc)
+    path = tmp_path / Path(fixture).name
+    path.write_text(json.dumps(doc))
+    code = main(command[:1] + [str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_internal_errors_exit_four(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code = main(["validate", PATH2])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\ninternal error: RuntimeError: boom\n")

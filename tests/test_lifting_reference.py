@@ -62,12 +62,7 @@ def oracle_lift(morphism, movement, lifted_input):
     except NotWellFormed as exc:
         raise NotLiftable(f"lifted contractum is ill formed ({exc})") from None
     lifted = ElementaryMovement(
-        lifted_input.word.sub(0, start),
-        lifted_input.word.sub(end, len(lifted_input.word)),
-        redex_up,
-        contractum_up,
-        movement.case,
-        movement.direction,
+        lifted_input, start, redex_up, contractum_up, movement.case, movement.direction
     )
     return lifted, splice(lifted_input, start, end, contractum_up)
 
