@@ -133,6 +133,14 @@ def _violations_json(report) -> list:
     return [[tag, list(detail)] for tag, detail in report.violations]
 
 
+def _require_valid(category) -> None:
+    """SchemaError with the violations unless validate_category accepts the
+    category, so that no verdict comes from a document validate rejects."""
+    report = validate_category(category)
+    if not report.ok:
+        raise SchemaError(f"invalid category: {_violations_json(report)}")
+
+
 def cmd_validate(args) -> int:
     kind, obj = load_document(args.path)
     violations: list = []
@@ -239,6 +247,7 @@ def cmd_basis(args) -> int:
     kind, category = load_document(args.category)
     if kind != CATEGORY:
         raise SchemaError("basis needs a category document")
+    _require_valid(category)
     if args.set is not None:
         sigma = [cell for cell in args.set.split(",") if cell]
     elif category.basis is not None and args.dim in category.basis:
@@ -303,6 +312,7 @@ def cmd_slice(args) -> int:
     kind, category = load_document(args.category)
     if kind != CATEGORY:
         raise SchemaError("slice needs a category document")
+    _require_valid(category)
     sliced, projection = slice_1cat(category, args.object)
     if args.projection_out:
         save_document(args.projection_out, functor_to_json(projection))

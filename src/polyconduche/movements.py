@@ -148,13 +148,19 @@ class SearchBounds:
 
 
 def enumerate_movements(
-    extension: CellularExtension, term: Term, direction: str = "both"
+    extension: CellularExtension,
+    term: Term,
+    direction: str = "both",
+    size_cap: int | None = None,
 ) -> list[ElementaryMovement]:
     """All movements rooted at some subterm occurrence, in deterministic
     (case, position, direction, level) order.
 
     Backward movements include unit insertion at every occurrence and every
-    identity split the base composition tables support. The occurrences come
+    identity split the base composition tables support. These are the only
+    movements that make a term larger, each by one, so none is built when a
+    size_cap is given and the term's size has reached it; the listing is
+    otherwise the same, in the same order. The occurrences come
     in token order and each movement is filed under its case, which gives
     that order without sorting. Redexes are subterms of the term and
     contracta are built from its subterms, never parsed: the globularity and
@@ -166,6 +172,7 @@ def enumerate_movements(
     levels = range(n + 1)
     want_fwd = direction in ("both", FORWARD)
     want_bwd = direction in ("both", BACKWARD)
+    want_growing = want_bwd and (size_cap is None or term.size < size_cap)
     # One list per case; the walk fills each in (position, direction, level) order.
     assoc, left_unit, right_unit, merge, interchange = [], [], [], [], []
     units: dict[tuple, Term] = {}
@@ -223,7 +230,7 @@ def enumerate_movements(
                         interchange.append(
                             ElementaryMovement(term, start, node, contractum, 5, BACKWARD)
                         )
-        if want_bwd:
+        if want_growing:
             for level in levels:
                 inserted = unit(node.tgt, level, TGT)
                 contractum = _composite(inserted, level, node, node.src, node.tgt)
@@ -350,7 +357,10 @@ def _bidirectional_search(
     or an Unknown reason.
     """
     visited = [{start.word.tokens: None}, {goal.word.tokens: None}]
-    frontiers = [[start], [goal]]
+    roots = (start, goal)
+    # A frontier entry is a word and the movement that reached it (None at
+    # the root); its tree is built only when the entry is expanded.
+    frontiers = [[(start.word, None)], [(goal.word, None)]]
     depths = [0, 0]
     if goal.word.tokens in visited[0]:
         return []
@@ -375,15 +385,14 @@ def _bidirectional_search(
             return "step-cap" if frontiers[0] or frontiers[1] else "exhausted-under-cap"
         side = min(expandable, key=lambda s: (len(frontiers[s]), s))
         seen, other = visited[side], visited[1 - side]
-        new_frontier: list[Term] = []
-        for node in sorted(frontiers[side], key=lambda t: (t.length, serialize(t.word))):
-            tokens = node.word.tokens
-            for movement in enumerate_movements(extension, node):
+        new_frontier: list[tuple[Word, ElementaryMovement]] = []
+        for word, reached in sorted(frontiers[side], key=lambda e: (len(e[0]), serialize(e[0]))):
+            node = roots[side] if reached is None else _splice(reached.source, reached)
+            node._word = word  # the entry's word is the node's: keep, not rebuild
+            tokens = word.tokens
+            for movement in enumerate_movements(extension, node, size_cap=size_cap):
                 redex, contractum = movement.redex, movement.contractum
-                # Prune by size and probe the visited sets with the child's
-                # tokens before building its tree.
-                if node.size - redex.size + contractum.size > size_cap:
-                    continue
+                # Probe the visited sets with the child's tokens.
                 start = movement.prefix_len
                 key = tokens[:start] + contractum.word.tokens + tokens[start + redex.length :]
                 if key in seen:
@@ -391,9 +400,7 @@ def _bidirectional_search(
                 seen[key] = movement
                 if key in other:
                     return list(reversed(chain(0, key))) + [m.inverted() for m in chain(1, key)]
-                child = _splice(node, movement)
-                child._word = Word(key)  # the key is the child's word: keep, not rebuild
-                new_frontier.append(child)
+                new_frontier.append((Word(key), movement))
                 total_visited += 1
                 if total_visited > max_visited:
                     return "visited-cap"

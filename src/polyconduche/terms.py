@@ -114,7 +114,11 @@ class Term:
 
 def _tokens(term: Term) -> tuple:
     """The token sequence of a term, from an explicit stack so that nesting
-    depth is not bounded by the interpreter's recursion limit."""
+    depth is not bounded by the interpreter's recursion limit. A composite
+    whose factors already have words is one tuple display."""
+    left, right = term.left, term.right
+    if left._word is not None and right._word is not None:
+        return (LPAREN, *left._word.tokens, comp(term.level), *right._word.tokens, RPAREN)
     out: list = []
     todo: list = [term]
     while todo:

@@ -483,6 +483,41 @@ def test_documents_with_non_string_names_are_usage_errors(capsys, tmp_path, fixt
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "fixture,edit,command,message",
+    [
+        pytest.param(ARROW, _set(["id"], {}), ["basis", "--dim", "1"], "identity", id="arrow-id"),
+        pytest.param(
+            LOOP, _set(["cells", "1", 1], "zz"), ["basis", "--dim", "1"], "'zz'", id="loop-renamed"
+        ),
+        pytest.param(DANGLING, _set(["src", "1"], {}), ["slice", "x"], "'1x'", id="dangling-src"),
+        pytest.param(
+            PATH2,
+            _set(["comp", "1*0"], []),
+            ["basis", "--dim", "1"],
+            "comp-total",
+            id="path2-comp-basis",
+        ),
+        pytest.param(
+            PATH2, _set(["comp", "1*0"], []), ["slice", "x"], "comp-total", id="path2-comp-slice"
+        ),
+    ],
+)
+def test_basis_and_slice_refuse_documents_validate_rejects(
+    capsys, fixture, edit, command, message, tmp_path
+):
+    doc = json.loads(Path(fixture).read_text())
+    edit(doc)
+    path = tmp_path / Path(fixture).name
+    path.write_text(json.dumps(doc))
+    code = main(command[:1] + [str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_internal_errors_exit_four(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from polyconduche.categories import OmegaFunctor, truncate
+from polyconduche import movements
 from polyconduche.errors import Stale
 from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
 from polyconduche.movements import (
@@ -21,6 +24,8 @@ from polyconduche.movements import (
 )
 from polyconduche.terms import check_term, generator_multiset, random_term
 from polyconduche.words import tokenize
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "search_commands.json"
 
 
 def term(extension, text):
@@ -223,3 +228,50 @@ def test_dot_export_mentions_center_and_backward_edge():
     assert dot.startswith("digraph")
     assert '"((c:a)*0(c:b))"' in dot
     assert '-> "((c:a)*0(c:b))" [label="case 2"]' in dot
+
+
+def _listing(moves):
+    """The fields of to_json, with redex and contractum as token tuples:
+    equal listings have equal to_json, and the check skips serializing."""
+    return [
+        (m.case, m.direction, m.prefix_len, m.redex.word.tokens, m.contractum.word.tokens)
+        for m in moves
+    ]
+
+
+def test_size_cap_only_drops_movements_past_the_cap(small_terms):
+    total = 0
+    for ext, t in small_terms:
+        full = enumerate_movements(ext, t)
+        total += len(full)
+        listed = _listing(full)
+        for cap in (t.size, t.size + 1):
+            kept = [
+                entry
+                for entry, m in zip(listed, full)
+                if t.size - m.redex.size + m.contractum.size <= cap
+            ]
+            assert _listing(enumerate_movements(ext, t, size_cap=cap)) == kept
+    # Without a cap nothing is dropped: as many movements as before size_cap
+    # existed.
+    assert total == 751_678
+
+
+def test_braiding_query_work_is_pinned(monkeypatch):
+    # A later change that expands more nodes shows here. Without the size
+    # cap in enumerate_movements the same search listed 62,052 movements.
+    ext = eh_extension()
+    calls, listed = [0], [0]
+    enumerate_all = movements.enumerate_movements
+
+    def counting(*args, **kwargs):
+        result = enumerate_all(*args, **kwargs)
+        calls[0] += 1
+        listed[0] += len(result)
+        return result
+
+    monkeypatch.setattr(movements, "enumerate_movements", counting)
+    outcome = equivalent(ext, term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))"))
+    assert (calls[0], listed[0]) == (1_512, 16_500)
+    golden = json.loads(json.loads(GOLDEN.read_text())["equiv-braiding"]["stdout"])
+    assert outcome.witness.to_json() == golden["witness"]["steps"]

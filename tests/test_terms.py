@@ -5,6 +5,8 @@ import pytest
 from polyconduche.errors import BoundaryMismatch, NotWellFormed
 from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
 from polyconduche.terms import (
+    GENERATOR,
+    _pair,
     check_term,
     compose_terms,
     enumerate_terms,
@@ -15,7 +17,7 @@ from polyconduche.terms import (
     subterm_at,
     substitute,
 )
-from polyconduche.words import tokenize
+from polyconduche.words import LPAREN, RPAREN, Word, comp, gen, ident_of, tokenize
 
 
 def term(extension, text):
@@ -155,3 +157,28 @@ def test_random_term_is_deterministic_and_bounded():
     # it parses back to the same boundaries
     again = check_term(ext, t1.word)
     assert (again.src, again.tgt) == (t1.src, t1.tgt)
+
+
+def _reference_tokens(t):
+    """A term's tokens read off its tree by recursion."""
+    if t.left is None:
+        return (LPAREN, gen(t.name) if t.kind == GENERATOR else ident_of(t.name), RPAREN)
+    left, right = _reference_tokens(t.left), _reference_tokens(t.right)
+    return (LPAREN, *left, comp(t.level), *right, RPAREN)
+
+
+def _rebuilt(t):
+    """The same term from new composites, none of which has its word yet."""
+    return t if t.left is None else _pair(_rebuilt(t.left), t.level, _rebuilt(t.right))
+
+
+def test_words_agree_with_and_without_cached_factor_words(small_terms):
+    for ext, t in small_terms:
+        if t.left is None:
+            continue
+        reference = Word(_reference_tokens(t))
+        parsed = check_term(ext, reference)
+        assert (parsed.src, parsed.tgt) == (t.src, t.tgt)
+        assert _rebuilt(t).word == reference
+        assert t.left.word and t.right.word  # both factor words are cached from here on
+        assert _pair(t.left, t.level, t.right).word == reference
