@@ -9,7 +9,9 @@ temporary directory. Pair i runs the unchanged `bench/run.py --trace 0` of
 both trees on one workload with seed `--first-seed + i`; even pairs run the
 base first, odd pairs the work tree. For every workload and end-to-end metric
 of BENCHMARK.json it prints the medians and quartiles of each side, their
-ratio, and in how many pairs the work tree was better. Standard library only.
+ratio, in how many pairs the work tree was better, and a verdict: gain,
+worse, unresolved or flat (see `verdict`). It exits 1 when a metric is worse
+or the work tree fails more operations. Standard library only.
 """
 
 from __future__ import annotations
@@ -71,15 +73,48 @@ def spread(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -> None:
+def verdict(metric: dict, pairs: list[tuple[float, float]], wins: int) -> str:
+    """gain, worse, unresolved or flat, by the rule of the benchmark's
+    bounds: a gain wins at least nine tenths of the pairs and moves the
+    median by more than the base's interquartile range; worse moves the
+    median the wrong way by more than the metric's relative bound; a spread
+    (interquartile range over median) wider than the bound on either side
+    is unresolved, unless every change run beats every base run."""
+    base_values, new_values = [b for b, _ in pairs], [n for _, n in pairs]
+    q1, base_median, q3 = quartiles(base_values)
+    new_q1, new_median, new_q3 = quartiles(new_values)
+    sign = 1 if metric["better"] == "higher" else -1
+    gain = sign * (new_median - base_median)  # positive when the change is better
+    bound = metric["bound"]
+    if base_median and -gain / abs(base_median) > bound:
+        return "worse"
+    if 10 * wins >= 9 * len(pairs) and gain > q3 - q1:
+        return "gain"
+    spreads = [
+        (high - low) / abs(median) if median else 0.0
+        for low, median, high in ((q1, base_median, q3), (new_q1, new_median, new_q3))
+    ]
+    if sign > 0:
+        beats_all = min(new_values) > max(base_values)
+    else:
+        beats_all = max(new_values) < min(base_values)
+    if max(spreads) > bound and not beats_all:
+        return "unresolved"
+    return "flat"
+
+
+def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -> bool:
     """One line per metric: each side's median [q1, q3], the ratio of the
-    medians, and the pairs the work tree won (ties count for neither)."""
+    medians, the pairs the work tree won (ties count for neither) and the
+    verdict. True when the change is worse on a metric or fails more
+    operations."""
     failed = [sum(run["failed"] for run in side) for side in zip(*runs)]
     correct = [all(run["correct"] for run in side) for side in zip(*runs)]
     print(f"\n{workload}: {len(runs)} pairs; failed {failed[0]} -> {failed[1]}, "
           f"correct {correct[0]} -> {correct[1]}")
     print(f"  {'metric':<14}{'base median [q1, q3]':<28}{'change median [q1, q3]':<28}"
-          f"{'ratio':<7}wins")
+          f"{'ratio':<7}{'wins':<7}verdict")
+    bad = failed[1] > failed[0]
     for metric in metrics:
         name = metric["name"]
         pairs = [(base["metrics"][name]["value"], new["metrics"][name]["value"]) for base, new in runs]
@@ -89,8 +124,11 @@ def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) ->
         else:
             wins = sum(n < b for b, n in pairs)
         ratio = statistics.median(new_values) / statistics.median(base_values)
+        outcome = verdict(metric, pairs, wins)
+        bad = bad or outcome == "worse"
         print(f"  {name:<14}{spread(base_values):<28}{spread(new_values):<28}"
-              f"{ratio:<7.3f}{wins}/{len(pairs)}")
+              f"{ratio:<7.3f}{f'{wins}/{len(pairs)}':<7}{outcome}")
+    return bad
 
 
 def main() -> None:
@@ -105,6 +143,7 @@ def main() -> None:
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    bad = False
     with tempfile.TemporaryDirectory() as scratch:
         base, change = Path(scratch, "base"), Path(scratch, "change")
         export_revision(args.base, base)
@@ -116,7 +155,9 @@ def main() -> None:
                 order = (base, change) if i % 2 == 0 else (change, base)
                 results = {tree: run_bench(tree, workload, seed, args.seconds) for tree in order}
                 runs.append((results[base], results[change]))
-            report(workload, spec["end_to_end"], runs)
+            bad = report(workload, spec["end_to_end"], runs) or bad
+    if bad:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -141,6 +141,22 @@ def _require_valid(category) -> None:
         raise SchemaError(f"invalid category: {_violations_json(report)}")
 
 
+def _require_valid_functor(functor) -> None:
+    """The checks of validate on a functor document, source and target
+    first: SchemaError with the violations unless they all pass."""
+    if isinstance(functor, ExtensionMorphism):
+        for extension in (functor.source, functor.target):
+            _require_valid(extension.base)
+            check_extension(extension)
+        check_extension_morphism(functor)
+        return
+    _require_valid(functor.source)
+    _require_valid(functor.target)
+    report = validate_functor(functor)
+    if not report.ok:
+        raise SchemaError(f"invalid functor: {_violations_json(report)}")
+
+
 def cmd_validate(args) -> int:
     kind, obj = load_document(args.path)
     violations: list = []
@@ -210,6 +226,7 @@ def cmd_conduche(args) -> int:
     kind, obj = load_document(args.functor)
     if kind != FUNCTOR:
         raise SchemaError("conduche needs a functor document")
+    _require_valid_functor(obj)
     if isinstance(obj, ExtensionMorphism):
         if args.mode != "fiber":
             raise SchemaError("table mode needs a functor between categories")
@@ -284,6 +301,7 @@ def cmd_transfer(args) -> int:
     kind, obj = load_document(args.functor)
     if kind != FUNCTOR:
         raise SchemaError("transfer needs a functor document")
+    _require_valid_functor(obj)
     if isinstance(obj, ExtensionMorphism):
         top = obj.source.base.dimension + 1
         chosen = set(obj.target.generators)
@@ -327,6 +345,8 @@ def cmd_pullback(args) -> int:
         raise SchemaError("pullback needs two functor documents")
     if isinstance(f, ExtensionMorphism) or isinstance(g, ExtensionMorphism):
         raise SchemaError("pullback needs functors between categories")
+    _require_valid_functor(f)
+    _require_valid_functor(g)
     result = pullback(f, g)
     doc = {
         "apex": category_to_json(result.apex),

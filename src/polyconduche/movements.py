@@ -17,7 +17,7 @@ infinite, so the search is bounded and three-valued: Witness, Distinct
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .categories import SRC, TGT, OmegaFunctor, PresentedCategory
 from .errors import (
@@ -119,10 +119,22 @@ class EquivalenceWitness:
 
 
 @dataclass
+class SearchStats:
+    """What the bidirectional search of one equivalence query did, as
+    deterministic counts; all zero when the query needed no search."""
+
+    expansions: tuple[int, int] = (0, 0)  # nodes expanded from start, from goal
+    candidates: int = 0  # child words probed against the visited sets
+    records: int = 0  # movement records built: one per newly visited word
+    memo_misses: int = 0  # distinct subterm words whose rewrites were computed
+
+
+@dataclass
 class EquivalenceOutcome:
     verdict: str  # witness | distinct | unknown
     witness: EquivalenceWitness | None = None
     reason: str | None = None
+    stats: SearchStats = field(default_factory=SearchStats)
 
 
 @dataclass(frozen=True)
@@ -147,107 +159,140 @@ class SearchBounds:
         return SearchBounds(max_visited=value)
 
 
+ALL_CASES = frozenset((1, 2, 3, 4, 5))
+
+
 def enumerate_movements(
     extension: CellularExtension,
     term: Term,
     direction: str = "both",
     size_cap: int | None = None,
+    cases=ALL_CASES,
 ) -> list[ElementaryMovement]:
-    """All movements rooted at some subterm occurrence, in deterministic
-    (case, position, direction, level) order.
+    """All movements of the given cases rooted at some subterm occurrence,
+    in deterministic (case, position, direction, level) order.
 
     Backward movements include unit insertion at every occurrence and every
     identity split the base composition tables support. These are the only
     movements that make a term larger, each by one, so none is built when a
     size_cap is given and the term's size has reached it; the listing is
-    otherwise the same, in the same order. The occurrences come
-    in token order and each movement is filed under its case, which gives
-    that order without sorting. Redexes are subterms of the term and
-    contracta are built from its subterms, never parsed: the globularity and
-    distribution axioms make every shape except backward interchange well
-    formed outright, and that one is guarded by two boundary comparisons.
+    otherwise the same, in the same order. The occurrences come in token
+    order and each node's rewrites (see _fixed_rewrites and
+    _growing_rewrites) are filed under their case, which gives that order
+    without sorting.
     """
-    base = extension.base
-    n = extension.dimension
-    levels = range(n + 1)
-    want_fwd = direction in ("both", FORWARD)
-    want_bwd = direction in ("both", BACKWARD)
-    want_growing = want_bwd and (size_cap is None or term.size < size_cap)
-    # One list per case; the walk fills each in (position, direction, level) order.
-    assoc, left_unit, right_unit, merge, interchange = [], [], [], [], []
+    forward = cases if direction in ("both", FORWARD) else ()
+    backward = cases if direction in ("both", BACKWARD) else ()
+    growing = backward and (size_cap is None or term.size < size_cap)
+    assoc, left_unit, right_unit, merge, interchange = by_case = ([], [], [], [], [])
     units: dict[tuple, Term] = {}
-
-    def unit(cell: str, level: int, side: str) -> Term:
-        """The identity atom of _unit_on, one per call and arguments."""
-        atom = units.get((cell, level, side))
-        if atom is None:
-            atom = _atom(extension, IDENTITY, _unit_on(extension, cell, level, side))
-            units[(cell, level, side)] = atom
-        return atom
-
     for node, start in occurrences(term):
-        left, k, right = node.left, node.level, node.right
-        if left is not None:
-            if want_fwd:
-                if left.level == k:
-                    inner = _pair(left.right, k, right)
-                    contractum = _composite(left.left, k, inner, node.src, node.tgt)
-                    assoc.append(ElementaryMovement(term, start, node, contractum, 1, FORWARD))
-                if left.kind == IDENTITY and left.name == unit(right.tgt, k, TGT).name:
-                    left_unit.append(ElementaryMovement(term, start, node, right, 2, FORWARD))
-                if right.kind == IDENTITY and right.name == unit(left.src, k, SRC).name:
-                    right_unit.append(ElementaryMovement(term, start, node, left, 3, FORWARD))
-                if (
-                    k < n
-                    and left.kind == IDENTITY
-                    and right.kind == IDENTITY
-                    and (left.name, right.name) in base.comp.get((n, k), {})
-                ):
-                    merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
-                    merge.append(ElementaryMovement(term, start, node, merged, 4, FORWARD))
-                if left.level is not None and left.level == right.level and k < left.level:
-                    contractum = _composite(
-                        _pair(left.left, k, right.left),
-                        left.level,
-                        _pair(left.right, k, right.right),
-                        node.src,
-                        node.tgt,
-                    )
-                    interchange.append(
-                        ElementaryMovement(term, start, node, contractum, 5, FORWARD)
-                    )
-            if want_bwd:
-                if right.level == k:
-                    inner = _pair(left, k, right.left)
-                    contractum = _composite(inner, k, right.right, node.src, node.tgt)
-                    assoc.append(ElementaryMovement(term, start, node, contractum, 1, BACKWARD))
-                if left.level is not None and left.level == right.level and left.level < k:
-                    p, q, r, s = left.left, left.right, right.left, right.right
-                    if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
-                        contractum = _composite(
-                            _pair(p, k, r), left.level, _pair(q, k, s), node.src, node.tgt
-                        )
-                        interchange.append(
-                            ElementaryMovement(term, start, node, contractum, 5, BACKWARD)
-                        )
-        if want_growing:
-            for level in levels:
-                inserted = unit(node.tgt, level, TGT)
-                contractum = _composite(inserted, level, node, node.src, node.tgt)
+        if node.left is not None:
+            for case, contractum, sense in _fixed_rewrites(extension, node, forward, backward):
+                by_case[case - 1].append(
+                    ElementaryMovement(term, start, node, contractum, case, sense)
+                )
+        if growing:
+            inserted_left, inserted_right, splits = _growing_rewrites(
+                extension, node, backward, units
+            )
+            for contractum in inserted_left:
                 left_unit.append(ElementaryMovement(term, start, node, contractum, 2, BACKWARD))
-                inserted = unit(node.src, level, SRC)
-                contractum = _composite(node, level, inserted, node.src, node.tgt)
+            for contractum in inserted_right:
                 right_unit.append(ElementaryMovement(term, start, node, contractum, 3, BACKWARD))
-            if node.kind == IDENTITY:
-                for level in range(n):
-                    for (c, d) in base.factorizations(node.name, n, level):
-                        c_atom = _atom(extension, IDENTITY, c)
-                        d_atom = _atom(extension, IDENTITY, d)
-                        contractum = _composite(c_atom, level, d_atom, node.src, node.tgt)
-                        merge.append(
-                            ElementaryMovement(term, start, node, contractum, 4, BACKWARD)
-                        )
+            for contractum in splits:
+                merge.append(ElementaryMovement(term, start, node, contractum, 4, BACKWARD))
     return assoc + left_unit + right_unit + merge + interchange
+
+
+def _fixed_rewrites(
+    extension: CellularExtension, node: Term, forward, backward
+) -> list[tuple[int, Term, str]]:
+    """The rewrites rooted at a composite that do not make it larger, as
+    (case, contractum, direction), forward ones first, each direction in case
+    order. forward and backward hold the cases wanted in each direction.
+
+    Contracta are built from the node's subterms, never parsed: the
+    globularity and distribution axioms make every shape except backward
+    interchange well formed outright, and that one is guarded by two
+    boundary comparisons.
+    """
+    n = extension.dimension
+    left, k, right = node.left, node.level, node.right
+    out = []
+    if forward:
+        if left.level == k and 1 in forward:
+            inner = _pair(left.right, k, right)
+            out.append((1, _composite(left.left, k, inner, node.src, node.tgt), FORWARD))
+        if left.kind == IDENTITY and 2 in forward:
+            if left.name == _unit_on(extension, right.tgt, k, TGT):
+                out.append((2, right, FORWARD))
+        if right.kind == IDENTITY:
+            if 3 in forward and right.name == _unit_on(extension, left.src, k, SRC):
+                out.append((3, left, FORWARD))
+            if left.kind == IDENTITY and k < n and 4 in forward:
+                base = extension.base
+                if (left.name, right.name) in base.comp.get((n, k), {}):
+                    merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
+                    out.append((4, merged, FORWARD))
+        if left.level is not None and left.level == right.level and k < left.level and 5 in forward:
+            contractum = _composite(
+                _pair(left.left, k, right.left),
+                left.level,
+                _pair(left.right, k, right.right),
+                node.src,
+                node.tgt,
+            )
+            out.append((5, contractum, FORWARD))
+    if backward:
+        if right.level == k and 1 in backward:
+            inner = _pair(left, k, right.left)
+            out.append((1, _composite(inner, k, right.right, node.src, node.tgt), BACKWARD))
+        if left.level is not None and left.level == right.level and left.level < k and 5 in backward:
+            p, q, r, s = left.left, left.right, right.left, right.right
+            if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
+                contractum = _composite(
+                    _pair(p, k, r), left.level, _pair(q, k, s), node.src, node.tgt
+                )
+                out.append((5, contractum, BACKWARD))
+    return out
+
+
+def _growing_rewrites(
+    extension: CellularExtension, node: Term, cases, units: dict
+) -> tuple[list[Term], list[Term], list[Term]]:
+    """The contracta of the backward rewrites rooted at a node that make it
+    larger by one, for cases 2, 3 and 4: unit insertion on the left and on
+    the right at each level, and the identity splits the base composition
+    tables support. units keeps one identity atom per (cell, level, side)
+    across the caller's nodes."""
+    left_units, right_units, splits = [], [], []
+    src, tgt = node.src, node.tgt
+    if 2 in cases or 3 in cases:
+        for level in range(extension.dimension + 1):
+            if 2 in cases:
+                inserted = units.get((tgt, level, TGT))
+                if inserted is None:
+                    inserted = units[(tgt, level, TGT)] = _unit_atom(extension, tgt, level, TGT)
+                left_units.append(_composite(inserted, level, node, src, tgt))
+            if 3 in cases:
+                inserted = units.get((src, level, SRC))
+                if inserted is None:
+                    inserted = units[(src, level, SRC)] = _unit_atom(extension, src, level, SRC)
+                right_units.append(_composite(node, level, inserted, src, tgt))
+    if node.kind == IDENTITY and 4 in cases:
+        n = extension.dimension
+        for level in range(n):
+            for (c, d) in extension.base.factorizations(node.name, n, level):
+                c_atom = _atom(extension, IDENTITY, c)
+                d_atom = _atom(extension, IDENTITY, d)
+                splits.append(_composite(c_atom, level, d_atom, src, tgt))
+    return left_units, right_units, splits
+
+
+def _unit_atom(extension: CellularExtension, cell: str, level: int, side: str) -> Term:
+    """The identity atom of _unit_on."""
+    return _atom(extension, IDENTITY, _unit_on(extension, cell, level, side))
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
@@ -285,9 +330,7 @@ def _normalize(
     path: list[ElementaryMovement] = []
     current = term
     while True:
-        movements = [
-            m for m in enumerate_movements(extension, current, FORWARD) if m.case in cases
-        ]
+        movements = enumerate_movements(extension, current, FORWARD, cases=cases)
         if not movements:
             return current, path
         step = min(movements, key=key)
@@ -331,11 +374,14 @@ def equivalent(
     if budget <= 0:
         return EquivalenceOutcome(UNKNOWN, reason="step-cap")
     size_cap = max(u.size, v.size) + bounds.size_slack
-    middle = _bidirectional_search(extension, ru, rv, size_cap, budget, bounds.max_visited)
+    stats = SearchStats()
+    middle = _bidirectional_search(
+        extension, ru, rv, size_cap, budget, bounds.max_visited, stats
+    )
     if isinstance(middle, str):
-        return EquivalenceOutcome(UNKNOWN, reason=middle)
+        return EquivalenceOutcome(UNKNOWN, reason=middle, stats=stats)
     steps = path_u + middle + [m.inverted() for m in reversed(path_v)]
-    return EquivalenceOutcome(WITNESS, EquivalenceWitness(u.word, v.word, steps))
+    return EquivalenceOutcome(WITNESS, EquivalenceWitness(u.word, v.word, steps), stats=stats)
 
 
 def _bidirectional_search(
@@ -345,16 +391,23 @@ def _bidirectional_search(
     size_cap: int,
     max_steps: int,
     max_visited: int,
+    stats: SearchStats,
 ):
     """Meet-in-the-middle breadth-first search over the movement graph.
 
     Side 0 grows from start and side 1 from goal. Frontiers expand level by
     level, smaller side first, nodes in (word length, serialization) order,
-    movements in enumeration order; the first meeting point under that
-    ordering is the witness, which makes repeated queries byte-stable. Each
-    visited set maps a word's tokens to the movement that first reached it
-    (None at the root), whose source is the parent. Returns the step list
-    or an Unknown reason.
+    children in enumerate_movements order; the first meeting point under
+    that ordering is the witness, which makes repeated queries byte-stable.
+    Each visited set maps a word's tokens to the movement that first reached
+    it (None at the root), whose source is the parent. Returns the step list
+    or an Unknown reason, and fills in stats.
+
+    A contractum depends only on its redex, so the rewrites rooted at a
+    subterm are computed once per search and kept under the subterm's
+    tokens, each with its contractum's tokens; the growing ones only when a
+    node below the size cap first needs them. A child's key is spliced from
+    those tokens, and its movement record is built only for a new key.
     """
     visited = [{start.word.tokens: None}, {goal.word.tokens: None}]
     roots = (start, goal)
@@ -365,6 +418,12 @@ def _bidirectional_search(
     if goal.word.tokens in visited[0]:
         return []
     total_visited = 2
+    # Subterm tokens -> [its fixed rewrites by case, its fixed and growing
+    # rewrites by case (None until needed)], see _memo_fixed and _memo_grown.
+    memo: dict[tuple, list] = {}
+    units: dict[tuple, Term] = {}
+    expansions = [0, 0]
+    candidates = records = 0
 
     def chain(side: int, tokens) -> list[ElementaryMovement]:
         """The movements from the side's root to tokens, last first."""
@@ -375,37 +434,95 @@ def _bidirectional_search(
             movement = visited[side][movement.source.word.tokens]
         return steps
 
-    while True:
-        expandable = [
-            side
-            for side in (0, 1)
-            if frontiers[side] and depths[side] + 1 + depths[1 - side] <= max_steps
-        ]
-        if not expandable:
-            return "step-cap" if frontiers[0] or frontiers[1] else "exhausted-under-cap"
-        side = min(expandable, key=lambda s: (len(frontiers[s]), s))
-        seen, other = visited[side], visited[1 - side]
-        new_frontier: list[tuple[Word, ElementaryMovement]] = []
-        for word, reached in sorted(frontiers[side], key=lambda e: (len(e[0]), serialize(e[0]))):
-            node = roots[side] if reached is None else _splice(reached.source, reached)
-            node._word = word  # the entry's word is the node's: keep, not rebuild
-            tokens = word.tokens
-            for movement in enumerate_movements(extension, node, size_cap=size_cap):
-                redex, contractum = movement.redex, movement.contractum
-                # Probe the visited sets with the child's tokens.
-                start = movement.prefix_len
-                key = tokens[:start] + contractum.word.tokens + tokens[start + redex.length :]
-                if key in seen:
-                    continue
-                seen[key] = movement
-                if key in other:
-                    return list(reversed(chain(0, key))) + [m.inverted() for m in chain(1, key)]
-                new_frontier.append((Word(key), movement))
-                total_visited += 1
-                if total_visited > max_visited:
-                    return "visited-cap"
-        frontiers[side] = new_frontier
-        depths[side] += 1
+    try:
+        while True:
+            expandable = [
+                side
+                for side in (0, 1)
+                if frontiers[side] and depths[side] + 1 + depths[1 - side] <= max_steps
+            ]
+            if not expandable:
+                return "step-cap" if frontiers[0] or frontiers[1] else "exhausted-under-cap"
+            side = min(expandable, key=lambda s: (len(frontiers[s]), s))
+            seen, other = visited[side], visited[1 - side]
+            new_frontier: list[tuple[Word, ElementaryMovement]] = []
+            for word, reached in sorted(frontiers[side], key=lambda e: (len(e[0]), serialize(e[0]))):
+                node = roots[side] if reached is None else _splice(reached.source, reached)
+                node._word = word  # the entry's word is the node's: keep, not rebuild
+                tokens = word.tokens
+                expansions[side] += 1
+                growing = node.size < size_cap
+                sites = []  # (subterm, position, prefix, suffix, rewrites by case)
+                # Descendants before their ancestors, so that the subterms a new
+                # contractum is built from have their words when it is spelled.
+                for sub, at in reversed(list(occurrences(node))):
+                    end = at + sub.length
+                    key = tokens[at:end]
+                    if sub._word is None:
+                        sub._word = Word(key)
+                    entry = memo.get(key)
+                    if entry is None:
+                        entry = memo[key] = [_memo_fixed(extension, sub), None]
+                    if not growing:
+                        by_case = entry[0]
+                    elif entry[1] is None:
+                        by_case = entry[1] = _memo_grown(extension, sub, entry[0], units)
+                    else:
+                        by_case = entry[1]
+                    if by_case is not _NO_REWRITES:
+                        sites.append((sub, at, tokens[:at], tokens[end:], by_case))
+                sites.reverse()
+                for case in (1, 2, 3, 4, 5):
+                    for sub, at, prefix, suffix, by_case in sites:
+                        for contractum, contractum_tokens, direction in by_case[case - 1]:
+                            # Probe the visited sets with the child's tokens.
+                            key = prefix + contractum_tokens + suffix
+                            candidates += 1
+                            if key in seen:
+                                continue
+                            movement = ElementaryMovement(node, at, sub, contractum, case, direction)
+                            records += 1
+                            seen[key] = movement
+                            if key in other:
+                                return list(reversed(chain(0, key))) + [
+                                    m.inverted() for m in chain(1, key)
+                                ]
+                            new_frontier.append((Word(key), movement))
+                            total_visited += 1
+                            if total_visited > max_visited:
+                                return "visited-cap"
+            frontiers[side] = new_frontier
+            depths[side] += 1
+    finally:
+        stats.expansions = tuple(expansions)
+        stats.candidates = candidates
+        stats.records = records
+        stats.memo_misses = len(memo)
+
+
+# The memo entry of a subterm without rewrites: one empty tuple per case.
+_NO_REWRITES: tuple = ((),) * 5
+
+
+def _memo_fixed(extension: CellularExtension, sub: Term) -> tuple:
+    """A subterm's rewrites that do not grow it, as (contractum, contractum
+    tokens, direction) triples, one tuple per case."""
+    if sub.left is None:
+        return _NO_REWRITES
+    by_case: tuple[list, ...] = ([], [], [], [], [])
+    for case, contractum, direction in _fixed_rewrites(extension, sub, ALL_CASES, ALL_CASES):
+        by_case[case - 1].append((contractum, contractum.word.tokens, direction))
+    return tuple(map(tuple, by_case)) if any(by_case) else _NO_REWRITES
+
+
+def _memo_grown(extension: CellularExtension, sub: Term, fixed: tuple, units: dict) -> tuple:
+    """A subterm's rewrites by case, each case's growing ones after its
+    fixed ones, as enumerate_movements lists them."""
+    growing = [
+        tuple((contractum, contractum.word.tokens, BACKWARD) for contractum in contracta)
+        for contracta in _growing_rewrites(extension, sub, ALL_CASES, units)
+    ]
+    return (fixed[0], *(f + g for f, g in zip(fixed[1:4], growing)), fixed[4])
 
 
 def extend_functor(

@@ -245,7 +245,8 @@ def _expect_rparen(tokens, pos: int) -> None:
 
 def check_term(extension: CellularExtension, word: Word) -> Term:
     """Parse a word into a term in one left-to-right pass; raises
-    NotWellFormed at the leftmost failure.
+    NotWellFormed at the leftmost failure. The term keeps the word when its
+    tokens are a tuple.
 
     Composites still being read wait on an explicit stack as [left factor,
     position of the composition symbol], the factor None until read, so
@@ -300,6 +301,8 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
         if not pending:
             if end != count:
                 raise NotWellFormed(end, "ShapeError", "trailing tokens")
+            if tokens.__class__ is tuple:
+                node._word = word  # the parsed word is the term's: keep, not rebuild
             return node
         # The term is a left factor: read its composition symbol.
         if end >= count or tokens[end].kind != COMP_KIND:

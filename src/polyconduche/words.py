@@ -12,7 +12,7 @@ serialize for display, but the serialized text is not re-lexable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BadOccurrence, LexError, NotComposite, NotWellParenthesized
@@ -31,20 +31,25 @@ class SymbolToken:
     """One alphabet symbol. value is the generator/cell name or the level.
 
     Each symbol has exactly one token object (LPAREN, RPAREN and the cached
-    constructors below), so tokens compare and hash by identity.
+    constructors below), so tokens compare and hash by identity, and each
+    spells its text once.
     """
 
     kind: str
     value: str | int | None = None
+    spelling: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind in (LPAREN_KIND, RPAREN_KIND):
+            spelling = self.kind
+        elif self.kind == COMP_KIND:
+            spelling = f"*{self.value}"
+        else:
+            spelling = f"{self.kind}:{self.value}"
+        object.__setattr__(self, "spelling", spelling)
 
     def text(self) -> str:
-        if self.kind == LPAREN_KIND:
-            return "("
-        if self.kind == RPAREN_KIND:
-            return ")"
-        if self.kind == COMP_KIND:
-            return f"*{self.value}"
-        return f"{self.kind}:{self.value}"
+        return self.spelling
 
 
 LPAREN = SymbolToken(LPAREN_KIND)
@@ -151,7 +156,7 @@ def serialize(word: Word) -> str:
     Only round-trips through tokenize when every cell name fits the
     identifier grammar; constructed names ("x|y", "1x") are display-only.
     """
-    return "".join(t.text() for t in word.tokens)
+    return "".join([t.spelling for t in word.tokens])
 
 
 def paren_profile(word: Word) -> ParenProfile:

@@ -1,0 +1,49 @@
+"""The verdict rule of scripts/bench_pairs.py on made-up pairs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+P50 = {"name": "op_p50_ms", "better": "lower", "bound": 0.25}
+
+
+def judge(metric, base, new):
+    pairs = list(zip(base, new))
+    if metric["better"] == "higher":
+        wins = sum(n > b for b, n in pairs)
+    else:
+        wins = sum(n < b for b, n in pairs)
+    return bench_pairs.verdict(metric, pairs, wins)
+
+
+BASE = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+
+
+def test_gain_needs_nine_wins_and_a_gap_beyond_the_base_spread():
+    assert judge(OPS, BASE, [b * 1.5 for b in BASE]) == "gain"
+    assert judge(P50, BASE, [b / 1.5 for b in BASE]) == "gain"
+    # Eight wins of ten are not enough.
+    eight = [b * 1.5 for b in BASE[:8]] + [b * 0.99 for b in BASE[8:]]
+    assert judge(OPS, BASE, eight) == "flat"
+    # Ten wins by less than the base's interquartile range are not a gain.
+    assert judge(OPS, BASE, [b + 0.5 for b in BASE]) == "flat"
+
+
+def test_worse_is_a_median_beyond_the_bound():
+    assert judge(OPS, BASE, [b * 0.7 for b in BASE]) == "worse"
+    assert judge(P50, BASE, [b * 1.3 for b in BASE]) == "worse"
+    assert judge(OPS, BASE, [b * 0.8 for b in BASE]) == "flat"
+
+
+def test_a_wide_spread_is_unresolved_unless_every_run_is_better():
+    wide = [60, 140, 70, 130, 100, 100, 65, 135, 100, 100]
+    assert judge(OPS, BASE, wide) == "unresolved"
+    assert judge(OPS, wide, [200] * 10) == "gain"
+    # Every run better, by less than the base's interquartile range.
+    above = [141, 142, 143, 144, 145, 150, 200, 250, 150, 145]
+    assert judge(OPS, wide, above) == "flat"

@@ -518,6 +518,86 @@ def test_basis_and_slice_refuse_documents_validate_rejects(
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["conduche", "--mode", "fiber", "F"],
+        ["conduche", "F"],
+        ["transfer", "F"],
+        ["pullback", "F", "F"],
+    ],
+    ids=["conduche-fiber", "conduche-table", "transfer", "pullback"],
+)
+@pytest.mark.parametrize(
+    "fixture,edit,message",
+    [
+        pytest.param(ARROW, _set(["id"], {}), "identity", id="source-arrow-id"),
+        pytest.param(LOOP, _set(["cells", "1", 1], "zz"), "'zz'", id="target-loop-renamed"),
+    ],
+)
+def test_functor_commands_refuse_categories_validate_rejects(
+    capsys, command, fixture, edit, message, tmp_path
+):
+    # collapse.fun.json maps arrow.cat.json to loop.cat.json; one of the two
+    # is edited next to a copy of the functor.
+    for name in ("collapse.fun.json", "arrow.cat.json", "loop.cat.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    doc = json.loads(Path(fixture).read_text())
+    edit(doc)
+    (tmp_path / Path(fixture).name).write_text(json.dumps(doc))
+    functor = str(tmp_path / "collapse.fun.json")
+    code = main([functor if arg == "F" else arg for arg in command])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["conduche", "--mode", "fiber", "F"], ["conduche", "F"], ["transfer", "F"], ["pullback", "F", "F"]],
+    ids=["conduche-fiber", "conduche-table", "transfer", "pullback"],
+)
+def test_functor_commands_refuse_functors_validate_rejects(capsys, command, tmp_path):
+    # Both categories are valid; the functor sends an identity to a
+    # non-identity arrow.
+    for name in ("arrow.cat.json", "loop.cat.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    doc = json.loads(Path(COLLAPSE).read_text())
+    doc["map"]["1"]["1x"] = "s"
+    functor = str(tmp_path / "collapse.fun.json")
+    Path(functor).write_text(json.dumps(doc))
+    assert main(["validate", functor]) == 1
+    capsys.readouterr()
+    code = main([functor if arg == "F" else arg for arg in command])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid functor: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["conduche", "F", "--mode", "fiber", "--at", "((c:a)*0(c:b))"], ["transfer", "F"]],
+    ids=["conduche-fiber-at", "transfer"],
+)
+def test_extension_morphism_commands_refuse_bases_validate_rejects(capsys, command, tmp_path):
+    # eh.fun.json maps eh.ext.json to ehc.ext.json, both over terminal.cat.json.
+    for name in ("eh.fun.json", "eh.ext.json", "ehc.ext.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    base = json.loads((FIXTURES / "terminal.cat.json").read_text())
+    base["id"] = {}
+    (tmp_path / "terminal.cat.json").write_text(json.dumps(base))
+    functor = str(tmp_path / "eh.fun.json")
+    code = main([functor if arg == "F" else arg for arg in command])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "identity" in captured.err
+
+
 def test_internal_errors_exit_four(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

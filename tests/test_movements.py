@@ -230,48 +230,27 @@ def test_dot_export_mentions_center_and_backward_edge():
     assert '-> "((c:a)*0(c:b))" [label="case 2"]' in dot
 
 
-def _listing(moves):
-    """The fields of to_json, with redex and contractum as token tuples:
-    equal listings have equal to_json, and the check skips serializing."""
-    return [
-        (m.case, m.direction, m.prefix_len, m.redex.word.tokens, m.contractum.word.tokens)
-        for m in moves
-    ]
-
-
-def test_size_cap_only_drops_movements_past_the_cap(small_terms):
-    total = 0
-    for ext, t in small_terms:
-        full = enumerate_movements(ext, t)
-        total += len(full)
-        listed = _listing(full)
-        for cap in (t.size, t.size + 1):
-            kept = [
-                entry
-                for entry, m in zip(listed, full)
-                if t.size - m.redex.size + m.contractum.size <= cap
-            ]
-            assert _listing(enumerate_movements(ext, t, size_cap=cap)) == kept
-    # Without a cap nothing is dropped: as many movements as before size_cap
-    # existed.
-    assert total == 751_678
-
-
-def test_braiding_query_work_is_pinned(monkeypatch):
-    # A later change that expands more nodes shows here. Without the size
-    # cap in enumerate_movements the same search listed 62,052 movements.
+def test_braiding_query_work_is_pinned():
+    # A later change that expands more nodes, probes more child words or
+    # builds more records shows here. Built by enumerate_movements at every
+    # expansion, the same search listed 16,500 movements over these 1,510
+    # nodes: the 16,487 child words probed here and 13 listed after the
+    # meeting point in the last node.
     ext = eh_extension()
-    calls, listed = [0], [0]
-    enumerate_all = movements.enumerate_movements
-
-    def counting(*args, **kwargs):
-        result = enumerate_all(*args, **kwargs)
-        calls[0] += 1
-        listed[0] += len(result)
-        return result
-
-    monkeypatch.setattr(movements, "enumerate_movements", counting)
     outcome = equivalent(ext, term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))"))
-    assert (calls[0], listed[0]) == (1_512, 16_500)
+    stats = outcome.stats
+    assert stats.expansions == (1_377, 133)
+    assert (stats.candidates, stats.records, stats.memo_misses) == (16_487, 3_440, 1_899)
     golden = json.loads(json.loads(GOLDEN.read_text())["equiv-braiding"]["stdout"])
     assert outcome.witness.to_json() == golden["witness"]["steps"]
+
+
+def test_stats_repeat_and_stay_zero_without_a_search():
+    ext = eh_extension()
+    u, v = term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))")
+    assert equivalent(ext, u, v).stats == equivalent(ext, u, v).stats
+    starved = equivalent(ext, u, v, SearchBounds(max_visited=50)).stats
+    assert starved.records == 50 - 2 + 1  # the roots count towards the cap
+    assert starved.records <= starved.candidates and starved.memo_misses > 0
+    padded = term(ext, "((i:id_star)*1(c:a))")
+    assert equivalent(ext, padded, term(ext, "(c:a)")).stats == movements.SearchStats()

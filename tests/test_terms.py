@@ -17,7 +17,7 @@ from polyconduche.terms import (
     subterm_at,
     substitute,
 )
-from polyconduche.words import LPAREN, RPAREN, Word, comp, gen, ident_of, tokenize
+from polyconduche.words import LPAREN, RPAREN, Word, comp, gen, ident_of, serialize, tokenize
 
 
 def term(extension, text):
@@ -182,3 +182,24 @@ def test_words_agree_with_and_without_cached_factor_words(small_terms):
         assert _rebuilt(t).word == reference
         assert t.left.word and t.right.word  # both factor words are cached from here on
         assert _pair(t.left, t.level, t.right).word == reference
+
+
+@pytest.mark.parametrize(
+    "text", ["(c:a)", "((c:a)*0(c:b))", "(((i:id_star)*1(c:a))*0((c:b)*1(i:id_star)))"]
+)
+def test_check_term_keeps_the_parsed_word(text):
+    ext = eh_extension()
+    word = tokenize(text)
+    parsed = check_term(ext, word)
+    assert parsed.word.tokens is word.tokens
+    assert parsed.serialize() == serialize(word) == text
+    if parsed.left is not None:  # the word kept is the one the tree spells
+        assert _pair(parsed.left, parsed.level, parsed.right).word == word
+
+
+def test_check_term_does_not_keep_a_word_of_listed_tokens():
+    ext = eh_extension()
+    listed = Word(list(tokenize("((c:a)*0(c:b))").tokens))
+    parsed = check_term(ext, listed)
+    assert parsed.word.tokens.__class__ is tuple
+    assert parsed.word.tokens == tuple(listed.tokens)
