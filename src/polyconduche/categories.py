@@ -114,6 +114,21 @@ class PresentedCategory:
         return self._factorizations[key].get(result, [])
 
 
+def boundary_maps(category: PresentedCategory, side: str) -> list[dict[str, str]]:
+    """maps[k][x] == category.boundary(x, k, side) for every level k and
+    every cell x at level k or above, each map built from the one above it.
+    The category must pass the schema check."""
+    table = category.src if side == SRC else category.tgt
+    maps = [{x: x for x in category.cells[category.dimension]}]
+    for k in range(category.dimension - 1, -1, -1):
+        step = table[k + 1]
+        below = {x: x for x in category.cells[k]}
+        below.update((x, step[y]) for x, y in maps[-1].items())
+        maps.append(below)
+    maps.reverse()
+    return maps
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -202,44 +217,48 @@ def validate_category(category: PresentedCategory) -> ValidationReport:
                 violations.append(("identity-injective", (k, seen_images[ix], x)))
             seen_images[ix] = x
 
-    # Composition tables: defined exactly on composable pairs.
+    # Composition tables: defined exactly on composable pairs. A result at
+    # another level is reported, and its boundaries at the levels it lacks
+    # count as None below.
+    bs, bt = boundary_maps(c, SRC), boundary_maps(c, TGT)
     for l in range(1, n + 1):
         for k in range(l):
             table = c.comp.get((l, k), {})
             for (a, b), res in table.items():
                 if c.level_of(res) != l:
                     violations.append(("composite-level", (l, k, a, b, res)))
-                if not c.composable(a, b, k):
+                if bs[k][a] != bt[k][b]:
                     violations.append(("comp-domain", (l, k, a, b)))
+            by_target: dict[str, list[str]] = {}
+            for b in c.cells.get(l, []):
+                by_target.setdefault(bt[k][b], []).append(b)
             for a in c.cells.get(l, []):
-                for b in c.cells.get(l, []):
-                    if c.composable(a, b, k) and (a, b) not in table:
+                for b in by_target.get(bs[k][a], ()):
+                    if (a, b) not in table:
                         violations.append(("comp-total", (l, k, a, b)))
 
     # Boundaries of composites: source from the right factor, target from the
     # left, both at the junction level (lower levels follow by globularity).
-    for (l, k), table in sorted(c.comp.items()):
-        for (a, b), res in sorted(table.items()):
-            if c.boundary(res, k, SRC) != c.boundary(b, k, SRC):
+    for (l, k), table in c.comp.items():
+        for (a, b), res in table.items():
+            if bs[k].get(res) != bs[k][b]:
                 violations.append(("composite-source", (l, k, a, b)))
-            if c.boundary(res, k, TGT) != c.boundary(a, k, TGT):
+            if bt[k].get(res) != bt[k][a]:
                 violations.append(("composite-target", (l, k, a, b)))
             # Boundaries strictly between k and l distribute over the table.
             for m in range(k + 1, l):
-                for side in (SRC, TGT):
-                    want = c.comp.get((m, k), {}).get(
-                        (c.boundary(a, m, side), c.boundary(b, m, side))
-                    )
-                    if want is None or c.boundary(res, m, side) != want:
+                for side, maps in ((SRC, bs), (TGT, bt)):
+                    want = c.comp.get((m, k), {}).get((maps[m][a], maps[m][b]))
+                    if want is None or maps[m].get(res) != want:
                         violations.append(("composite-boundary-distributes", (l, k, m, a, b, side)))
 
     # Associativity.
-    for (l, k), table in sorted(c.comp.items()):
-        by_left: dict[str, list[tuple[str, str]]] = {}
+    for (l, k), table in c.comp.items():
+        by_left: dict[str, list[str]] = {}
         for (a, b) in table:
-            by_left.setdefault(a, []).append((a, b))
-        for (a, b), ab in sorted(table.items()):
-            for (_, d) in sorted(by_left.get(b, [])):
+            by_left.setdefault(a, []).append(b)
+        for (a, b), ab in table.items():
+            for d in by_left.get(b, ()):
                 bd = table[(b, d)]
                 left = table.get((ab, d))
                 right = table.get((a, bd))
@@ -251,35 +270,37 @@ def validate_category(category: PresentedCategory) -> ValidationReport:
         for k in range(l):
             table = c.comp.get((l, k), {})
             for x in c.cells.get(l, []):
-                left_unit = c.identity_to(c.boundary(x, k, TGT), l)
-                right_unit = c.identity_to(c.boundary(x, k, SRC), l)
+                left_unit = c.identity_to(bt[k][x], l)
+                right_unit = c.identity_to(bs[k][x], l)
                 if table.get((x, right_unit)) != x:
                     violations.append(("right-unit", (l, k, x)))
                 if table.get((left_unit, x)) != x:
                     violations.append(("left-unit", (l, k, x)))
 
     # Identities are functorial over composition.
-    for (l, k), table in sorted(c.comp.items()):
+    for (l, k), table in c.comp.items():
         if l == n:
             continue
         upper = c.comp.get((l + 1, k), {})
-        for (a, b), res in sorted(table.items()):
-            if upper.get((c.ids[l][a], c.ids[l][b])) != c.ids[l][res]:
+        units = c.ids[l]
+        for (a, b), res in table.items():
+            unit = units.get(res)
+            if unit is None or upper.get((units[a], units[b])) != unit:
                 violations.append(("identity-functorial", (l, k, a, b)))
 
-    # Exchange between two composition levels k < m at each cell level l.
+    # Exchange between two composition levels k < m at each cell level l:
+    # (x *k y) *m (z *k t) against (x *m z) *k (y *m t) for every two entries
+    # of the k-table whose factors meet at m.
     for l in range(2, n + 1):
         for k in range(l):
+            lower = c.comp.get((l, k), {})
             for m in range(k + 1, l):
-                lower = c.comp.get((l, k), {})
                 upper = c.comp.get((l, m), {})
-                entries = sorted(lower.items())
-                for (x, y), xy in entries:
-                    for (z, t), zt in entries:
-                        if c.boundary(x, m, SRC) != c.boundary(z, m, TGT):
-                            continue
-                        if c.boundary(y, m, SRC) != c.boundary(t, m, TGT):
-                            continue
+                below: dict[tuple[str, str], list] = {}
+                for (z, t), zt in lower.items():
+                    below.setdefault((bt[m][z], bt[m][t]), []).append((z, t, zt))
+                for (x, y), xy in lower.items():
+                    for z, t, zt in below.get((bs[m][x], bs[m][y]), ()):
                         lhs = upper.get((xy, zt))
                         xz = upper.get((x, z))
                         yt = upper.get((y, t))

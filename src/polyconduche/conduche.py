@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import OmegaFunctor, PresentedCategory, truncate
+from .categories import SRC, TGT, OmegaFunctor, PresentedCategory, boundary_maps, truncate
 from .errors import NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     DISTINCT,
@@ -26,9 +26,11 @@ from .terms import (
     GENERATOR,
     CellularExtension,
     Term,
+    _enumerate,
+    _pair,
+    all_atoms,
     check_term,
     enumerate_terms,
-    evaluate_enumerated,
     fold_enumerated,
     restriction_extension,
 )
@@ -350,9 +352,10 @@ def fiber_conduche(
     """Fiber-route verdict over every level and every fiber of a finite
     functor, with full generator sets.
 
-    Terms are enumerated once per level and bucketed by their value, each
-    paired with the shape id of its image word, so each fiber comparison is
-    a dictionary pass over ints.
+    Each side's words are enumerated once per level as records of their
+    value and the shape id of their image word, bucketed by value, so each
+    fiber comparison is a dictionary pass over ints. A term is rebuilt only
+    for a reported witness.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
@@ -369,26 +372,27 @@ def fiber_conduche(
         )
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
-            seen: dict[int, Term] = {}
+            seen: dict[int, tuple] = {}
             fail = None
-            for shape, member in src_buckets.get(a, []):
+            for record in src_buckets.get(a, []):
+                shape = record[1]
                 if shape in seen:
                     fail = {
                         "x": a,
                         "level": level,
                         "kind": "injectivity",
-                        "pair": [seen[shape].serialize(), member.serialize()],
+                        "pair": [_term_of(r).serialize() for r in (seen[shape], record)],
                     }
                     break
-                seen[shape] = member
+                seen[shape] = record
             if fail is None:
-                for shape, target_member in tgt_buckets.get(fa, []):
-                    if shape not in seen:
+                for record in tgt_buckets.get(fa, []):
+                    if record[1] not in seen:
                         fail = {
                             "x": a,
                             "level": level,
                             "kind": "surjectivity",
-                            "unhit": target_member.serialize(),
+                            "unhit": _term_of(record).serialize(),
                         }
                         break
             if fail is not None:
@@ -398,15 +402,61 @@ def fiber_conduche(
 
 def _value_buckets(
     category: PresentedCategory, level: int, size_bound: int, shapes: dict, atom_key
-) -> dict[str, list[tuple[int, Term]]]:
-    """The level's terms up to the size bound, bucketed by value, each with
-    the shape id of its image word (see _image_shapes)."""
-    terms, _ = enumerate_terms(full_extension(category, level), size_bound)
-    ids = _image_shapes(terms, shapes, atom_key)
-    buckets: dict[str, list[tuple[int, Term]]] = {}
-    for term, value, shape in zip(terms, evaluate_enumerated(category, terms), ids):
-        buckets.setdefault(value, []).append((shape, term))
+) -> dict[str, list[tuple]]:
+    """The level's words up to the size bound, in enumerate_terms' order,
+    as records (value, shape id, left, k, right) bucketed by value.
+
+    An atom's record holds its term as left and None as k; its value is the
+    generator or the identity on the base cell, and atom_key(atom) names its
+    image. A composite's value is one table lookup, and its shape is
+    (left id, k, right id), interned in `shapes` as in _image_shapes.
+    Factors meet when their values' boundaries do, which in a valid category
+    is when their terms' boundaries do.
+    """
+    sources, targets = boundary_maps(category, SRC), boundary_maps(category, TGT)
+    tables = [category.comp.get((level, k), {}) for k in range(level)]
+    units = category.ids[level - 1]
+
+    def atom(term: Term) -> tuple:
+        value = term.name if term.kind == GENERATOR else units[term.name]
+        return (value, shapes.setdefault(atom_key(term), len(shapes)), term, None, None)
+
+    def pair(left: tuple, k: int, right: tuple) -> tuple:
+        value = tables[k].get((left[0], right[0]))
+        if value is None:
+            value = category.compose(left[0], right[0], k)  # raises UndefinedComposite
+        return (value, shapes.setdefault((left[1], k, right[1]), len(shapes)), left, k, right)
+
+    records, _ = _enumerate(
+        [atom(term) for term in all_atoms(full_extension(category, level))],
+        level - 1,
+        lambda record, k: sources[k][record[0]],
+        lambda record, k: targets[k][record[0]],
+        pair,
+        size_bound,
+    )
+    buckets: dict[str, list[tuple]] = {}
+    for record in records:
+        buckets.setdefault(record[0], []).append(record)
     return buckets
+
+
+def _term_of(record: tuple) -> Term:
+    """The term a record of _value_buckets stands for, rebuilt from its
+    factors with an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    built: list[Term] = []
+    todo: list = [record]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is int:
+            right = built.pop()
+            built.append(_pair(built.pop(), item, right))
+        elif item[3] is None:
+            built.append(item[2])
+        else:
+            todo += (item[3], item[4], item[2])
+    return built[0]
 
 
 def _image_shapes(terms: list[Term], shapes: dict, atom_key) -> list[int]:

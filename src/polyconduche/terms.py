@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .categories import SRC, TGT, PresentedCategory, truncate
+from .categories import SRC, TGT, PresentedCategory, boundary_maps, truncate
 from .errors import (
     BadOccurrence,
     BoundaryMismatch,
@@ -462,37 +462,71 @@ def enumerate_terms(
 ) -> tuple[list[Term], bool]:
     """All terms of size up to max_size, smallest first, deterministic order.
 
-    Returns (terms, truncated); truncated is True when max_count stopped the
-    enumeration early. Each composite shares its factors with the smaller
-    terms it is built from, so the list is factor-closed. When given,
-    admit(left, k, right) filters the composites of factors that meet; a
-    rejected composite is never built and never used as a factor.
+    Returns (terms, truncated): at most max_count terms, and truncated True
+    when an admitted term within max_size was left out. Each composite
+    shares its factors with the smaller terms it is built from, so the list
+    is factor-closed. When given, admit(left, k, right) filters the
+    composites of factors that meet; a rejected composite is never built and
+    never used as a factor.
     """
-    base = extension.base
-    n = extension.dimension
-    by_size: list[list[Term]] = [all_atoms(extension)]
-    # (size, k) -> the terms of that size by their k-target, in order.
-    by_target: dict[tuple[int, int], dict[str, list[Term]]] = {}
-    total = len(by_size[0])
+    sources, targets = boundary_maps(extension.base, SRC), boundary_maps(extension.base, TGT)
+    return _enumerate(
+        all_atoms(extension),
+        extension.dimension,
+        lambda term, k: sources[k][term.src],
+        lambda term, k: targets[k][term.tgt],
+        _pair,
+        max_size,
+        max_count,
+        admit,
+    )
+
+
+def _enumerate(
+    atoms: list, top: int, source_key, target_key, pair, max_size: int,
+    max_count: int | None = None, admit=None,
+) -> tuple[list, bool]:
+    """The one enumeration loop: every item of size up to max_size, smallest
+    first, as (items, truncated) with the truncation rule of enumerate_terms.
+
+    An item of size 0 is an atom; one of size s > 0 is pair(left, k, right)
+    for k in 0..top and items left, right of sizes adding up to s - 1 that
+    meet at k, that is source_key(left, k) == target_key(right, k). Within a
+    size the order is by k, then left size, then left, then right, each in
+    listed order; admit(left, k, right), when given, filters pairs before
+    they are built. Each item's keys are computed once per k.
+    """
+    by_size: list[list] = [atoms[:max_count]]
+    if len(by_size[0]) < len(atoms):
+        return by_size[0], True
+    count = len(atoms)
+    # (size, k) -> the source keys of that size's items, in order; and its
+    # items grouped by target key, in order.
+    source_keys: dict[tuple[int, int], list] = {}
+    by_target: dict[tuple[int, int], dict] = {}
     for size in range(1, max_size + 1):
-        layer: list[Term] = []
+        layer: list = []
         by_size.append(layer)
-        for k in range(n + 1):
+        for k in range(top + 1):
             for left_size in range(size):
                 right_size = size - 1 - left_size
                 partners = by_target.get((right_size, k))
                 if partners is None:
                     partners = by_target[(right_size, k)] = {}
                     for right in by_size[right_size]:
-                        partners.setdefault(base.boundary(right.tgt, k, TGT), []).append(right)
-                for left in by_size[left_size]:
-                    for right in partners.get(base.boundary(left.src, k, SRC), ()):
+                        partners.setdefault(target_key(right, k), []).append(right)
+                lefts = by_size[left_size]
+                keys = source_keys.get((left_size, k))
+                if keys is None:
+                    keys = source_keys[(left_size, k)] = [source_key(left, k) for left in lefts]
+                for left, key in zip(lefts, keys):
+                    for right in partners.get(key, ()):
                         if admit is None or admit(left, k, right):
-                            layer.append(_pair(left, k, right))
-                            total += 1
-                            if max_count is not None and total >= max_count:
-                                return [t for lst in by_size for t in lst], True
-    return [t for lst in by_size for t in lst], False
+                            if count == max_count:
+                                return [item for items in by_size for item in items], True
+                            layer.append(pair(left, k, right))
+                            count += 1
+    return [item for items in by_size for item in items], False
 
 
 def fold_enumerated(terms: list[Term], atom, composite) -> list:

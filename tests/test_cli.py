@@ -61,6 +61,20 @@ def test_validate_lists_axiom_violations(capsys, tmp_path):
     assert any(tag == "comp-total" for tag, _ in report["violations"])
 
 
+def test_validate_reports_a_composite_at_the_wrong_level(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "parallel_pair.cat.json").read_text())
+    doc["comp"]["2*1"][-1][2] = "x"
+    wrong = tmp_path / "wrong_level.cat.json"
+    wrong.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(wrong)], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert "error" not in report
+    tags = {tag for tag, _ in report["violations"]}
+    assert {"composite-level", "composite-source", "composite-target"} <= tags
+    assert len(tags) > 3
+
+
 def test_validate_covers_functor_and_morphism_documents(capsys):
     for path in (COLLAPSE, EH_FUN):
         code, out = run_cli(["validate", path], capsys)
@@ -210,6 +224,13 @@ def test_basis_truncation_is_unknown(capsys):
     code, out = run_cli(["basis", PATH2, "--dim", "1", "--max-terms", "3"], capsys)
     assert code == 2
     assert json.loads(out)["verdict"] == "Unknown"
+
+
+def test_basis_with_room_for_exactly_every_term_decides(capsys):
+    # the reduced enumeration over {f, g} up to the default bound has 6 terms
+    code, out = run_cli(["basis", PATH2, "--dim", "1", "--max-terms", "6"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Basis"
 
 
 def test_transfer_pulls_back_along_the_collapse(capsys):

@@ -19,13 +19,16 @@ from polyconduche.conduche import (
     is_rigid,
     lift_movement,
     morphism_from_functor,
+    _term_of,
 )
-from polyconduche.errors import NotLiftable, NotWellFormed, SchemaError
+from polyconduche.errors import NotLiftable, NotWellFormed, SchemaError, UndefinedComposite
 from polyconduche.fixtures import (
     arrow_category,
     collapse_functor,
     eh_morphism,
     inflate_functor,
+    loop_category,
+    parallel_pair_category,
     parallel_pair_collapse,
     path2_category,
     terminal_category,
@@ -123,6 +126,35 @@ def test_fiber_route_matches_table_on_named_functors():
         "kind": "surjectivity",
         "unhit": "((c:s)*0(c:s))",
     }
+
+
+@pytest.mark.parametrize(
+    "build, table, message",
+    [
+        (path2_category, (1, 0), "'g' *0 'f' at level 1"),
+        (parallel_pair_category, (2, 1), "'1v' *1 'gam' at level 2"),
+        (parallel_pair_category, (2, 0), "'11y' *0 'gam' at level 2"),
+    ],
+)
+def test_fiber_route_reports_a_missing_table_entry(build, table, message):
+    category = build()
+    entries = category.comp[table]
+    del entries[list(entries)[-1]]
+    with pytest.raises(UndefinedComposite) as raised:
+        fiber_conduche(identity_functor(category), 2)
+    assert str(raised.value) == message
+
+
+def test_fiber_witness_rebuilds_deep_records():
+    # a record nested deeper than the interpreter's recursion limit
+    atoms = {atom.name: atom for atom in all_atoms(full_extension(loop_category(), 1))}
+    s = ("s", 0, atoms["s"], None, None)
+    record = s
+    for _ in range(3000):
+        record = ("s", 1, record, 0, s)
+    term = _term_of(record)
+    assert term.size == 3000
+    assert term.serialize() == "(" * 3001 + "c:s)" + "*0(c:s))" * 3000
 
 
 def test_fiber_bijection_requires_exact_preimage():

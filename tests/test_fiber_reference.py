@@ -1,13 +1,15 @@
 """The fiber route and the basis check against per-term oracles.
 
-`fiber_conduche` and `check_basis` read each enumerated term's value and
-image shape off its two factors. The oracles below do what they did before
-that: enumerate with a plain nested loop, evaluate every term from its atoms
-and relabel every source word token by token. Verdicts and witnesses must
-agree exactly.
+`fiber_conduche` enumerates records of each word's value and image shape,
+read off its two factors, and builds a term only for a witness;
+`check_basis` reads each enumerated term's value off its two factors. The
+oracles below do what they did before that: enumerate with a plain nested
+loop, evaluate every term from its atoms and relabel every source word token
+by token. Verdicts and witnesses must agree exactly.
 """
 
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,7 +23,13 @@ from polyconduche.conduche import (
     induced_word_map,
     morphism_from_functor,
 )
-from polyconduche.fixtures import functor_corpus
+from polyconduche.fixtures import (
+    functor_corpus,
+    idem_category,
+    loop_category,
+    random_dag_category,
+    random_functor,
+)
 from polyconduche.manifests import CATEGORY, load_document
 from polyconduche.movements import DISTINCT, WITNESS, _unit_on, equivalent
 from polyconduche.polygraphs import (
@@ -53,11 +61,15 @@ CORPUS = functor_corpus()
 
 
 def plain_enumeration(extension, max_size, max_count=None, reduced=False):
-    """Every composable pair of smaller terms, tested pair by pair."""
+    """Every composable pair of smaller terms, tested pair by pair; at most
+    max_count terms, truncated when an admitted term was left out."""
     base = extension.base
     n = extension.dimension
-    by_size = [all_atoms(extension)]
-    total = len(by_size[0])
+    atoms = all_atoms(extension)
+    if max_count is not None and len(atoms) > max_count:
+        return atoms[:max_count], True
+    by_size = [atoms]
+    total = len(atoms)
     for size in range(1, max_size + 1):
         layer = []
         by_size.append(layer)
@@ -72,10 +84,10 @@ def plain_enumeration(extension, max_size, max_count=None, reduced=False):
                             continue
                         if reduced and not irreducible(extension, left, k, right):
                             continue
+                        if total == max_count:
+                            return [t for lst in by_size for t in lst], True
                         layer.append(compose_terms(left, k, right))
                         total += 1
-                        if max_count is not None and total >= max_count:
-                            return [t for lst in by_size for t in lst], True
     return [t for lst in by_size for t in lst], False
 
 
@@ -193,14 +205,34 @@ def finite_categories():
 CATEGORIES = finite_categories()
 
 
+def seeded_functors(count=30):
+    """Functors from seeded free DAG categories into the non-free loop and
+    idem categories, whose fibers fail with composite witnesses."""
+    out = []
+    for target_name, target in (("loop", loop_category()), ("idem", idem_category())):
+        for seed in range(count):
+            rng = Random(seed)
+            source = random_dag_category(rng, max_objects=4, max_edges=4, max_paths=8)
+            out.append((f"dag-{seed}-into-{target_name}", random_functor(rng, source, target)))
+    return out
+
+
+SEEDED = seeded_functors()
+
+
 @pytest.mark.parametrize("size_bound", [1, 2, 3])
 def test_fiber_conduche_matches_per_term_oracle(size_bound):
     verdicts = set()
-    for name, functor in CORPUS:
+    compositions = 0
+    for name, functor in CORPUS + SEEDED:
         expected = oracle_fiber_conduche(functor, size_bound).to_json()
         assert fiber_conduche(functor, size_bound).to_json() == expected, name
         verdicts.add(expected["verdict"])
+        for failure in expected["failures"]:
+            for word in failure.get("pair", [failure.get("unhit", "")]):
+                compositions = max(compositions, word.count("*"))
     assert verdicts == {PASS, FAIL}
+    assert compositions >= min(size_bound, 2)
 
 
 def test_check_basis_matches_per_term_oracle():
@@ -235,7 +267,7 @@ def test_fold_enumerated_equals_evaluate(category):
 def test_enumerate_terms_matches_plain_enumeration(category):
     for level in range(1, category.dimension + 1):
         extension = full_extension(category, level)
-        for max_count in (None, 40):
+        for max_count in (None, 2, 40, len(enumerate_terms(extension, 3)[0])):
             for reduced in (False, True):
                 admit = _reduced(extension) if reduced else None
                 got, cut = enumerate_terms(extension, 3, max_count, admit=admit)

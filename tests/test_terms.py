@@ -148,6 +148,18 @@ def test_enumerate_truncation():
     assert len(terms) >= 50
 
 
+def test_enumerate_truncates_only_when_a_term_is_left_out():
+    # chain3 has 59 terms of size at most 2, seven of them atoms
+    everything, _ = enumerate_terms(chain3_extension(), 2)
+    assert len(everything) == 59
+    for max_count, truncated in ((59, False), (60, False), (58, True), (7, True), (2, True)):
+        terms, cut = enumerate_terms(chain3_extension(), 2, max_count=max_count)
+        assert cut == truncated, max_count
+        assert [t.serialize() for t in terms] == [
+            t.serialize() for t in everything[:max_count]
+        ]
+
+
 def test_random_term_is_deterministic_and_bounded():
     ext = chain3_extension()
     t1 = random_term(ext, Random(5), 6)
