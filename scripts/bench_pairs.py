@@ -7,7 +7,9 @@ The base revision is exported with `git archive`, and the work tree (tracked
 and untracked files that git does not ignore) is copied, each into a
 temporary directory. Pair i runs the unchanged `bench/run.py --trace 0` of
 both trees on one workload with seed `--first-seed + i`; even pairs run the
-base first, odd pairs the work tree. For every workload and end-to-end metric
+base first, odd pairs the work tree. Each workload's header line names the
+base revision (with its commit) and the seed range, so that a run can be
+repeated from its output. For every workload and end-to-end metric
 of BENCHMARK.json it prints the medians and quartiles of each side, their
 ratio, in how many pairs the work tree was better, and a verdict: gain,
 worse, unresolved or flat (see `verdict`). It exits 1 when a metric is worse
@@ -103,15 +105,17 @@ def verdict(metric: dict, pairs: list[tuple[float, float]], wins: int) -> str:
     return "flat"
 
 
-def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -> bool:
-    """One line per metric: each side's median [q1, q3], the ratio of the
-    medians, the pairs the work tree won (ties count for neither) and the
-    verdict. True when the change is worse on a metric or fails more
-    operations."""
+def report(
+    workload: str, metrics: list[dict], runs: list[tuple[dict, dict]], base: str, seeds: range
+) -> bool:
+    """A header line naming the base revision and the seeds, then one line
+    per metric: each side's median [q1, q3], the ratio of the medians, the
+    pairs the work tree won (ties count for neither) and the verdict. True
+    when the change is worse on a metric or fails more operations."""
     failed = [sum(run["failed"] for run in side) for side in zip(*runs)]
     correct = [all(run["correct"] for run in side) for side in zip(*runs)]
-    print(f"\n{workload}: {len(runs)} pairs; failed {failed[0]} -> {failed[1]}, "
-          f"correct {correct[0]} -> {correct[1]}")
+    print(f"\n{workload}: {len(runs)} pairs, base {base}, seeds {seeds[0]}-{seeds[-1]}; "
+          f"failed {failed[0]} -> {failed[1]}, correct {correct[0]} -> {correct[1]}")
     print(f"  {'metric':<14}{'base median [q1, q3]':<28}{'change median [q1, q3]':<28}"
           f"{'ratio':<7}{'wins':<7}verdict")
     bad = failed[1] > failed[0]
@@ -143,6 +147,9 @@ def main() -> None:
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    commit = git("rev-parse", "--short", args.base).decode().strip()
+    base_name = args.base if args.base == commit else f"{args.base} ({commit})"
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
     bad = False
     with tempfile.TemporaryDirectory() as scratch:
         base, change = Path(scratch, "base"), Path(scratch, "change")
@@ -150,12 +157,11 @@ def main() -> None:
         copy_work_tree(change)
         for workload in workloads:
             runs = []
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i, seed in enumerate(seeds):
                 order = (base, change) if i % 2 == 0 else (change, base)
                 results = {tree: run_bench(tree, workload, seed, args.seconds) for tree in order}
                 runs.append((results[base], results[change]))
-            bad = report(workload, spec["end_to_end"], runs) or bad
+            bad = report(workload, spec["end_to_end"], runs, base_name, seeds) or bad
     if bad:
         raise SystemExit(1)
 

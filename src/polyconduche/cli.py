@@ -141,13 +141,19 @@ def _require_valid(category) -> None:
         raise SchemaError(f"invalid category: {_violations_json(report)}")
 
 
+def _require_valid_extension(extension) -> None:
+    """The checks of validate on an extension document: its base, then its
+    generators."""
+    _require_valid(extension.base)
+    check_extension(extension)
+
+
 def _require_valid_functor(functor) -> None:
     """The checks of validate on a functor document, source and target
     first: SchemaError with the violations unless they all pass."""
     if isinstance(functor, ExtensionMorphism):
         for extension in (functor.source, functor.target):
-            _require_valid(extension.base)
-            check_extension(extension)
+            _require_valid_extension(extension)
         check_extension_morphism(functor)
         return
     _require_valid(functor.source)
@@ -202,6 +208,7 @@ def cmd_equiv(args) -> int:
     kind, extension = load_document(args.extension)
     if kind != EXTENSION:
         raise SchemaError("equiv needs an extension document")
+    _require_valid_extension(extension)
     u = check_term(extension, tokenize(args.word1))
     v = check_term(extension, tokenize(args.word2))
     bounds = _search_bounds(args)
@@ -363,6 +370,7 @@ def cmd_movements(args) -> int:
     kind, extension = load_document(args.extension)
     if kind != EXTENSION:
         raise SchemaError("movements needs an extension document")
+    _require_valid_extension(extension)
     term = check_term(extension, tokenize(args.word))
     if args.dot:
         sys.stdout.write(movement_graph_dot(extension, term))

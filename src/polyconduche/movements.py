@@ -34,6 +34,7 @@ from .terms import (
     _atom,
     _composite,
     _pair,
+    _unit_atom,
     _unit_on,
     fold,
     generator_multiset,
@@ -185,7 +186,6 @@ def enumerate_movements(
     backward = cases if direction in ("both", BACKWARD) else ()
     growing = backward and (size_cap is None or term.size < size_cap)
     assoc, left_unit, right_unit, merge, interchange = by_case = ([], [], [], [], [])
-    units: dict[tuple, Term] = {}
     for node, start in occurrences(term):
         if node.left is not None:
             for case, contractum, sense in _fixed_rewrites(extension, node, forward, backward):
@@ -193,9 +193,7 @@ def enumerate_movements(
                     ElementaryMovement(term, start, node, contractum, case, sense)
                 )
         if growing:
-            inserted_left, inserted_right, splits = _growing_rewrites(
-                extension, node, backward, units
-            )
+            inserted_left, inserted_right, splits = _growing_rewrites(extension, node, backward)
             for contractum in inserted_left:
                 left_unit.append(ElementaryMovement(term, start, node, contractum, 2, BACKWARD))
             for contractum in inserted_right:
@@ -259,26 +257,21 @@ def _fixed_rewrites(
 
 
 def _growing_rewrites(
-    extension: CellularExtension, node: Term, cases, units: dict
+    extension: CellularExtension, node: Term, cases
 ) -> tuple[list[Term], list[Term], list[Term]]:
     """The contracta of the backward rewrites rooted at a node that make it
     larger by one, for cases 2, 3 and 4: unit insertion on the left and on
     the right at each level, and the identity splits the base composition
-    tables support. units keeps one identity atom per (cell, level, side)
-    across the caller's nodes."""
+    tables support."""
     left_units, right_units, splits = [], [], []
     src, tgt = node.src, node.tgt
     if 2 in cases or 3 in cases:
         for level in range(extension.dimension + 1):
             if 2 in cases:
-                inserted = units.get((tgt, level, TGT))
-                if inserted is None:
-                    inserted = units[(tgt, level, TGT)] = _unit_atom(extension, tgt, level, TGT)
+                inserted = _unit_atom(extension, tgt, level, TGT)
                 left_units.append(_composite(inserted, level, node, src, tgt))
             if 3 in cases:
-                inserted = units.get((src, level, SRC))
-                if inserted is None:
-                    inserted = units[(src, level, SRC)] = _unit_atom(extension, src, level, SRC)
+                inserted = _unit_atom(extension, src, level, SRC)
                 right_units.append(_composite(node, level, inserted, src, tgt))
     if node.kind == IDENTITY and 4 in cases:
         n = extension.dimension
@@ -288,11 +281,6 @@ def _growing_rewrites(
                 d_atom = _atom(extension, IDENTITY, d)
                 splits.append(_composite(c_atom, level, d_atom, src, tgt))
     return left_units, right_units, splits
-
-
-def _unit_atom(extension: CellularExtension, cell: str, level: int, side: str) -> Term:
-    """The identity atom of _unit_on."""
-    return _atom(extension, IDENTITY, _unit_on(extension, cell, level, side))
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
@@ -421,7 +409,6 @@ def _bidirectional_search(
     # Subterm tokens -> [its fixed rewrites by case, its fixed and growing
     # rewrites by case (None until needed)], see _memo_fixed and _memo_grown.
     memo: dict[tuple, list] = {}
-    units: dict[tuple, Term] = {}
     expansions = [0, 0]
     candidates = records = 0
 
@@ -466,7 +453,7 @@ def _bidirectional_search(
                     if not growing:
                         by_case = entry[0]
                     elif entry[1] is None:
-                        by_case = entry[1] = _memo_grown(extension, sub, entry[0], units)
+                        by_case = entry[1] = _memo_grown(extension, sub, entry[0])
                     else:
                         by_case = entry[1]
                     if by_case is not _NO_REWRITES:
@@ -515,12 +502,12 @@ def _memo_fixed(extension: CellularExtension, sub: Term) -> tuple:
     return tuple(map(tuple, by_case)) if any(by_case) else _NO_REWRITES
 
 
-def _memo_grown(extension: CellularExtension, sub: Term, fixed: tuple, units: dict) -> tuple:
+def _memo_grown(extension: CellularExtension, sub: Term, fixed: tuple) -> tuple:
     """A subterm's rewrites by case, each case's growing ones after its
     fixed ones, as enumerate_movements lists them."""
     growing = [
         tuple((contractum, contractum.word.tokens, BACKWARD) for contractum in contracta)
-        for contracta in _growing_rewrites(extension, sub, ALL_CASES, units)
+        for contracta in _growing_rewrites(extension, sub, ALL_CASES)
     ]
     return (fixed[0], *(f + g for f, g in zip(fixed[1:4], growing)), fixed[4])
 

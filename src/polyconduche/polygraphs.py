@@ -146,7 +146,9 @@ def check_basis(
     Missing preimages are proven via the exact closure. Connectivity of the
     preimage words of each cell is checked by merging components with the
     bounded equivalence search: a Distinct verdict between two preimages is
-    a proven basis failure, an Unknown leaves the cell unresolved.
+    a proven basis failure, an Unknown leaves the cell unresolved. When the
+    max_terms cap cut the enumeration short, unresolved ends with
+    "<enumeration truncated>", whatever cells it lists.
     """
     bounds = bounds or BasisBounds()
     if not 1 <= level <= category.dimension:
@@ -195,8 +197,8 @@ def check_basis(
             if outcome.verdict != WITNESS and a not in unresolved:
                 unresolved.append(a)
 
-    if truncated and not unresolved:
-        return BasisVerdict(UNKNOWN, None, ["<enumeration truncated>"])
+    if truncated:
+        unresolved.append("<enumeration truncated>")
     if unresolved:
         return BasisVerdict(UNKNOWN, None, unresolved)
     return BasisVerdict(BASIS)

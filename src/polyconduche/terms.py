@@ -8,11 +8,20 @@ computes boundaries as it goes and reports the leftmost failure. Terms keep
 that tree: composites are built from their factors, movements and
 substitutions copy only the path to the root, and evaluation folds the tree.
 Words are built from the tree on demand.
+
+What parsing reads of an extension is built once, on first use, and kept on
+the extension (see ParseTables): for each level k < n, the k-source and
+k-target of every top cell and the (n, k) composition table, plus one atom
+term per (kind, name), which every parse, enumeration and movement shares.
+A lookup that misses these tables falls back to the base category, so a
+malformed or never-checked extension raises what the base raises. Because
+the tables are kept, an extension and its base must not be mutated after
+the first parse, enumeration or movement over the extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .categories import SRC, TGT, PresentedCategory, boundary_maps, truncate
@@ -44,6 +53,7 @@ class CellularExtension:
 
     base: PresentedCategory
     generators: dict[str, tuple[str, str]]
+    _tables: "ParseTables | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -133,22 +143,81 @@ def _tokens(term: Term) -> tuple:
     return tuple(out)
 
 
+class ParseTables:
+    """What parsing reads of an extension, kept on it from the first use on.
+
+    For each level k < n, sources[k] and targets[k] map each top cell x to
+    base.boundary(x, k, side), and composites[k] maps each pair (x, y) of
+    the (n, k) composition table whose x is a top cell to x *k y. A cell or
+    pair whose lookup in the base would raise is left out. atoms holds the
+    one atom term per (kind, name), and units the atom of _unit_on per
+    (cell, k, side) asked for; parsed maps each atom token that a parse has
+    accepted to its atom term, and symbols holds the composition tokens *0
+    to *n.
+    """
+
+    __slots__ = (
+        "dimension", "sources", "targets", "composites", "atoms", "units", "parsed", "symbols",
+    )
+
+    def __init__(self, extension: CellularExtension):
+        base = extension.base
+        n = self.dimension = base.dimension
+        top = base.cells.get(n, [])
+        self.sources = _boundary_tables(base.src, top, n)
+        self.targets = _boundary_tables(base.tgt, top, n)
+        tops = set(top)
+        self.composites = {
+            k: {pair: cell for pair, cell in base.comp.get((n, k), {}).items() if pair[0] in tops}
+            for k in range(n)
+        }
+        self.atoms: dict[tuple[str, str], Term] = {}
+        self.units: dict[tuple[str, int, str], Term] = {}
+        self.parsed: dict = {}
+        self.symbols = frozenset(comp(k) for k in range(n + 1))
+
+
+def _boundary_tables(steps: dict, top: list[str], n: int) -> dict[int, dict[str, str]]:
+    """tables[k][x] == the walk of boundary(x, k, side) down the side's
+    codimension-1 maps, for every top cell x whose walk finds each step."""
+    tables = {}
+    above = {x: x for x in top}
+    for k in range(n - 1, -1, -1):
+        step = steps.get(k + 1, {})
+        above = tables[k] = {x: step[y] for x, y in above.items() if y in step}
+    return tables
+
+
+def _tables_of(extension: CellularExtension) -> ParseTables:
+    tables = extension._tables
+    if tables is None:
+        tables = extension._tables = ParseTables(extension)
+    return tables
+
+
 def _atom(extension: CellularExtension, kind: str, name: str) -> Term:
-    """A new atom term for a generator or top base cell; the caller has
-    checked the name."""
-    src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
-    atom = Term(extension, kind, name, None, None, None, src, tgt, 0, 3)
-    atom._word = atom_word(kind, name)
+    """The atom term for a generator or top base cell, one per (kind, name)
+    and extension; the caller has checked the name."""
+    atoms = _tables_of(extension).atoms
+    atom = atoms.get((kind, name))
+    if atom is None:
+        src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
+        atom = atoms[(kind, name)] = Term(extension, kind, name, None, None, None, src, tgt, 0, 3)
+        atom._word = atom_word(kind, name)
     return atom
 
 
 def meets(extension: CellularExtension, left_src: str, k: int, right_tgt: str) -> bool:
     """Can a term with n-source left_src follow one with n-target right_tgt
     at level k?"""
-    if k == extension.dimension:
+    tables = extension._tables or _tables_of(extension)
+    if k == tables.dimension:
         return left_src == right_tgt
-    base = extension.base
-    return base.boundary(left_src, k, SRC) == base.boundary(right_tgt, k, TGT)
+    try:
+        return tables.sources[k][left_src] == tables.targets[k][right_tgt]
+    except KeyError:
+        base = extension.base
+        return base.boundary(left_src, k, SRC) == base.boundary(right_tgt, k, TGT)
 
 
 def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
@@ -160,7 +229,22 @@ def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
     n = extension.dimension
     if k == n:
         return cell
-    return base.identity_to(base.boundary(cell, k, side), n)
+    tables = extension._tables or _tables_of(extension)
+    try:
+        below = (tables.sources if side == SRC else tables.targets)[k][cell]
+    except KeyError:
+        below = base.boundary(cell, k, side)
+    return base.identity_to(below, n)
+
+
+def _unit_atom(extension: CellularExtension, cell: str, k: int, side: str) -> Term:
+    """The identity atom of _unit_on."""
+    units = _tables_of(extension).units
+    atom = units.get((cell, k, side))
+    if atom is None:
+        atom = _atom(extension, IDENTITY, _unit_on(extension, cell, k, side))
+        units[(cell, k, side)] = atom
+    return atom
 
 
 def _composite(left: Term, k: int, right: Term, src: str, tgt: str) -> Term:
@@ -175,11 +259,17 @@ def _pair(left: Term, k: int, right: Term) -> Term:
     """(left *k right) built from its factors, which the caller has checked
     to meet at level k."""
     extension = left.extension
-    if k == extension.dimension:
+    tables = extension._tables or _tables_of(extension)
+    if k == tables.dimension:
         return _composite(left, k, right, right.src, left.tgt)
-    base = extension.base
-    src = base.compose(left.src, right.src, k)
-    tgt = base.compose(left.tgt, right.tgt, k)
+    try:
+        table = tables.composites[k]
+        src = table[(left.src, right.src)]
+        tgt = table[(left.tgt, right.tgt)]
+    except KeyError:
+        base = extension.base
+        src = base.compose(left.src, right.src, k)
+        tgt = base.compose(left.tgt, right.tgt, k)
     return _composite(left, k, right, src, tgt)
 
 
@@ -238,26 +328,25 @@ def analyze_term(extension: CellularExtension, word: Word) -> TermIndex:
     return TermIndex(word, nodes, (0, len(word)))
 
 
-def _expect_rparen(tokens, pos: int) -> None:
-    if pos >= len(tokens) or tokens[pos] is not RPAREN:
-        raise NotWellFormed(pos, "ShapeError", "expected ')'")
-
-
 def check_term(extension: CellularExtension, word: Word) -> Term:
     """Parse a word into a term in one left-to-right pass; raises
     NotWellFormed at the leftmost failure. The term keeps the word when its
     tokens are a tuple.
 
-    Composites still being read wait on an explicit stack as [left factor,
-    position of the composition symbol], the factor None until read, so
-    nesting depth is not bounded by the interpreter's recursion limit.
+    Composites still being read wait on an explicit stack, each as two
+    entries: its left factor, None until read, and the position of its
+    composition symbol. So nesting depth is not bounded by the
+    interpreter's recursion limit. Atom tokens and composition symbols are
+    looked up in the extension's ParseTables; only a token that is not
+    there yet is checked against the extension.
     """
+    tables = _tables_of(extension)
+    parsed, symbols = tables.parsed, tables.symbols
     base = extension.base
     n = base.dimension
     tokens = word.tokens
     count = len(tokens)
-    atoms: dict = {}  # one atom term per atom token of the word
-    pending: list[list] = []
+    pending: list = []
     start = 0
     while True:
         # Read the term that starts at `start` down to its leftmost atom.
@@ -267,10 +356,10 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
             raise NotWellFormed(start + 1, "ShapeError", "unclosed '('")
         head = tokens[start + 1]
         if head is LPAREN:
-            pending.append([None, 0])
+            pending += (None, 0)
             start += 1
             continue
-        node = atoms.get(head)
+        node = parsed.get(head)
         if node is None:
             if head.kind == GEN_KIND:
                 if head.value not in extension.generators:
@@ -282,13 +371,16 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
                 kind = IDENTITY
             else:
                 raise NotWellFormed(start + 1, "ShapeError", f"unexpected {head.text()!r}")
-            node = atoms[head] = _atom(extension, kind, head.value)
-        _expect_rparen(tokens, start + 2)
+            node = parsed[head] = _atom(extension, kind, head.value)
         end = start + 3
+        if end > count or tokens[end - 1] is not RPAREN:
+            raise NotWellFormed(end - 1, "ShapeError", "expected ')'")
         # Close every composite this term completes.
-        while pending and pending[-1][0] is not None:
-            left, pos = pending.pop()
-            _expect_rparen(tokens, end)
+        while pending and pending[-2] is not None:
+            pos = pending.pop()
+            left = pending.pop()
+            if end >= count or tokens[end] is not RPAREN:
+                raise NotWellFormed(end, "ShapeError", "expected ')'")
             k = tokens[pos].value
             if not meets(extension, left.src, k, node.tgt):
                 if k == n:
@@ -305,12 +397,14 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
                 node._word = word  # the parsed word is the term's: keep, not rebuild
             return node
         # The term is a left factor: read its composition symbol.
-        if end >= count or tokens[end].kind != COMP_KIND:
-            raise NotWellFormed(end, "ShapeError", "expected a composition symbol")
-        k = int(tokens[end].value)
-        if k > n:
-            raise NotWellFormed(end, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
-        pending[-1][:] = [node, end]
+        if end >= count or tokens[end] not in symbols:
+            if end >= count or tokens[end].kind != COMP_KIND:
+                raise NotWellFormed(end, "ShapeError", "expected a composition symbol")
+            k = int(tokens[end].value)
+            if k > n:
+                raise NotWellFormed(end, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
+        pending[-2] = node
+        pending[-1] = end
         start = end + 1
 
 
@@ -574,7 +668,7 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
         if partners:
             right = rng.choice(partners)
         else:
-            right = _atom(extension, IDENTITY, _unit_on(extension, left.src, k, SRC))
+            right = _unit_atom(extension, left.src, k, SRC)
         if left.size + right.size + 1 > max_size:
             break
         current = _pair(left, k, right)

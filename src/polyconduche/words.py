@@ -163,9 +163,9 @@ def paren_profile(word: Word) -> ParenProfile:
     values = []
     depth = 0
     for t in word.tokens:
-        if t.kind == LPAREN_KIND:
+        if t is LPAREN:
             depth += 1
-        elif t.kind == RPAREN_KIND:
+        elif t is RPAREN:
             depth -= 1
         values.append(depth)
     return ParenProfile(tuple(values))
@@ -173,17 +173,18 @@ def paren_profile(word: Word) -> ParenProfile:
 
 def is_well_parenthesized(word: Word) -> bool:
     """Non-empty, profile never negative, and zero exactly at the last token."""
-    if len(word) == 0:
+    tokens = word.tokens
+    if not tokens:
         return False
     depth = 0
-    last = len(word) - 1
-    for i, t in enumerate(word.tokens):
-        if t.kind == LPAREN_KIND:
+    last = len(tokens) - 1
+    for i, t in enumerate(tokens):
+        if t is LPAREN:
             depth += 1
-        elif t.kind == RPAREN_KIND:
+        elif t is RPAREN:
             depth -= 1
-        if depth < 0:
-            return False
+            if depth < 0:
+                return False
         if depth == 0 and i != last:
             return False
     return depth == 0
@@ -192,9 +193,9 @@ def is_well_parenthesized(word: Word) -> bool:
 def is_atom(word: Word) -> bool:
     return (
         len(word) == 3
-        and word[0].kind == LPAREN_KIND
+        and word[0] is LPAREN
         and word[1].kind in (GEN_KIND, ID_KIND)
-        and word[2].kind == RPAREN_KIND
+        and word[2] is RPAREN
     )
 
 
@@ -211,13 +212,14 @@ def split_parenthesized(word: Word) -> tuple[Word, int, Word]:
     if is_atom(word):
         raise NotComposite(f"{serialize(word)!r} is an atom")
     # Interior spans tokens[1:-1]; find where its running profile hits zero.
+    tokens = word.tokens
     depth = 0
     split_at = None
-    for i in range(1, len(word) - 1):
-        t = word[i]
-        if t.kind == LPAREN_KIND:
+    for i in range(1, len(tokens) - 1):
+        t = tokens[i]
+        if t is LPAREN:
             depth += 1
-        elif t.kind == RPAREN_KIND:
+        elif t is RPAREN:
             depth -= 1
         if depth == 0:
             split_at = i

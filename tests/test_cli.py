@@ -223,7 +223,10 @@ def test_basis_without_any_candidate_reports_the_gap(capsys):
 def test_basis_truncation_is_unknown(capsys):
     code, out = run_cli(["basis", PATH2, "--dim", "1", "--max-terms", "3"], capsys)
     assert code == 2
-    assert json.loads(out)["verdict"] == "Unknown"
+    report = json.loads(out)
+    assert report["verdict"] == "Unknown"
+    # The cap is named beside the cells it cut off.
+    assert report["unresolved"] == ["1y", "1z", "gf", "<enumeration truncated>"]
 
 
 def test_basis_with_room_for_exactly_every_term_decides(capsys):
@@ -617,6 +620,28 @@ def test_extension_morphism_commands_refuse_bases_validate_rejects(capsys, comma
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "identity" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["equiv", "F", "(c:a)", "(c:b)"], ["movements", "F", "(c:a)"]],
+    ids=["equiv", "movements"],
+)
+def test_extension_commands_refuse_bases_validate_rejects(capsys, command, tmp_path):
+    # eh.ext.json over a copy of terminal.cat.json without its composition table.
+    (tmp_path / "eh.ext.json").write_text((FIXTURES / "eh.ext.json").read_text())
+    base = json.loads((FIXTURES / "terminal.cat.json").read_text())
+    base["comp"] = {}
+    (tmp_path / "terminal.cat.json").write_text(json.dumps(base))
+    extension = str(tmp_path / "eh.ext.json")
+    assert main(["validate", extension]) == 1
+    capsys.readouterr()
+    code = main([extension if arg == "F" else arg for arg in command])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid category: ")
+    assert "comp-total" in captured.err
 
 
 def test_internal_errors_exit_four(capsys, monkeypatch):

@@ -180,8 +180,8 @@ def oracle_check_basis(category, level, sigma):
                 return BasisVerdict(NOT_BASIS, {"kind": "DisconnectedPair", "pair": pair, "cell": a})
             if outcome.verdict != WITNESS and a not in unresolved:
                 unresolved.append(a)
-    if truncated and not unresolved:
-        return BasisVerdict(UNKNOWN, None, ["<enumeration truncated>"])
+    if truncated:
+        unresolved.append("<enumeration truncated>")
     if unresolved:
         return BasisVerdict(UNKNOWN, None, unresolved)
     return BasisVerdict(BASIS)

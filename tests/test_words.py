@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from polyconduche.errors import (
@@ -7,9 +9,14 @@ from polyconduche.errors import (
     NotWellParenthesized,
 )
 from polyconduche.words import (
+    LPAREN,
+    RPAREN,
     InsideLeft,
     InsideRight,
     Whole,
+    Word,
+    comp,
+    gen,
     is_atom,
     is_well_parenthesized,
     paren_profile,
@@ -54,6 +61,29 @@ def test_well_parenthesized():
     assert is_well_parenthesized(tokenize("(c:a)"))
     assert not is_well_parenthesized(tokenize("(c:a)(c:b)"))
     assert not is_well_parenthesized(tokenize("((c:a)"))
+
+
+def _well_parenthesized_by_profile(word):
+    """Non-empty, profile never negative, and zero at the last token only."""
+    values = paren_profile(word).values
+    return 0 in values and min(values) >= 0 and values.index(0) == len(values) - 1
+
+
+def test_well_parenthesized_matches_the_profile_on_every_short_word():
+    alphabet = [LPAREN, RPAREN, gen("a"), comp(0)]
+    accepted = 0
+    for length in range(7):
+        for tokens in product(alphabet, repeat=length):
+            word = Word(tokens)
+            expected = _well_parenthesized_by_profile(word)
+            assert is_well_parenthesized(word) == expected, serialize(word)
+            accepted += expected
+    assert accepted > 4
+    # The edge cases: a one-token word without parentheses is balanced, and
+    # a word that returns to depth 0 before its last token is not.
+    assert is_well_parenthesized(Word((gen("a"),)))
+    assert not is_well_parenthesized(Word((gen("a"), gen("a"))))
+    assert not is_well_parenthesized(Word((LPAREN, RPAREN, comp(0))))
 
 
 def test_atoms():
