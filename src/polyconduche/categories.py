@@ -117,13 +117,15 @@ class PresentedCategory:
 def boundary_maps(category: PresentedCategory, side: str) -> list[dict[str, str]]:
     """maps[k][x] == category.boundary(x, k, side) for every level k and
     every cell x at level k or above, each map built from the one above it.
-    The category must pass the schema check."""
+    A cell whose walk down the side's maps misses a level or a step is left
+    out, so on a category that fails the schema check a lookup can miss
+    where category.boundary would raise."""
     table = category.src if side == SRC else category.tgt
-    maps = [{x: x for x in category.cells[category.dimension]}]
+    maps = [{x: x for x in category.cells.get(category.dimension, [])}]
     for k in range(category.dimension - 1, -1, -1):
-        step = table[k + 1]
-        below = {x: x for x in category.cells[k]}
-        below.update((x, step[y]) for x, y in maps[-1].items())
+        step = table.get(k + 1, {})
+        below = {x: x for x in category.cells.get(k, [])}
+        below.update((x, step[y]) for x, y in maps[-1].items() if y in step)
         maps.append(below)
     maps.reverse()
     return maps

@@ -133,61 +133,46 @@ def _violations_json(report) -> list:
     return [[tag, list(detail)] for tag, detail in report.violations]
 
 
-def _require_valid(category) -> None:
-    """SchemaError with the violations unless validate_category accepts the
-    category, so that no verdict comes from a document validate rejects."""
-    report = validate_category(category)
-    if not report.ok:
-        raise SchemaError(f"invalid category: {_violations_json(report)}")
+def _violations(kind: str, obj) -> tuple[str, list]:
+    """The checks of validate, in order, on a document of the given kind:
+    (part, violations), where part is "category" when the violations belong
+    to a category, an extension's base or a functor's source or target, and
+    "functor" when they belong to the functor. A check may raise instead."""
+    if kind == CATEGORY:
+        return CATEGORY, _violations_json(validate_category(obj))
+    if kind == EXTENSION:
+        violations = _violations_json(validate_category(obj.base))
+        if not violations:
+            check_extension(obj)
+        return CATEGORY, violations
+    side = EXTENSION if isinstance(obj, ExtensionMorphism) else CATEGORY
+    violations = [v for doc in (obj.source, obj.target) for v in _violations(side, doc)[1]]
+    if violations:
+        return CATEGORY, violations
+    if side == EXTENSION:
+        check_extension_morphism(obj)
+        return FUNCTOR, []
+    return FUNCTOR, _violations_json(validate_functor(obj))
 
 
-def _require_valid_extension(extension) -> None:
-    """The checks of validate on an extension document: its base, then its
-    generators."""
-    _require_valid(extension.base)
-    check_extension(extension)
-
-
-def _require_valid_functor(functor) -> None:
-    """The checks of validate on a functor document, source and target
-    first: SchemaError with the violations unless they all pass."""
-    if isinstance(functor, ExtensionMorphism):
-        for extension in (functor.source, functor.target):
-            _require_valid_extension(extension)
-        check_extension_morphism(functor)
-        return
-    _require_valid(functor.source)
-    _require_valid(functor.target)
-    report = validate_functor(functor)
-    if not report.ok:
-        raise SchemaError(f"invalid functor: {_violations_json(report)}")
+def _load(path, kind: str, command: str):
+    """The document at path, refused unless it has the given kind and passes
+    every check of validate, so that no verdict comes from a document
+    validate rejects."""
+    found, obj = load_document(path)
+    if found != kind:
+        article = "an" if kind == EXTENSION else "a"
+        raise SchemaError(f"{command} needs {article} {kind} document")
+    part, violations = _violations(kind, obj)
+    if violations:
+        raise SchemaError(f"invalid {part}: {violations}")
+    return obj
 
 
 def cmd_validate(args) -> int:
     kind, obj = load_document(args.path)
-    violations: list = []
     try:
-        if kind == CATEGORY:
-            report = validate_category(obj)
-            violations = _violations_json(report)
-        elif kind == EXTENSION:
-            report = validate_category(obj.base)
-            violations = _violations_json(report)
-            if report.ok:
-                check_extension(obj)
-        elif isinstance(obj, ExtensionMorphism):
-            for extension in (obj.source, obj.target):
-                report = validate_category(extension.base)
-                violations.extend(_violations_json(report))
-                if report.ok:
-                    check_extension(extension)
-            if not violations:
-                check_extension_morphism(obj)
-        else:
-            for category in (obj.source, obj.target):
-                violations.extend(_violations_json(validate_category(category)))
-            if not violations:
-                violations.extend(_violations_json(validate_functor(obj)))
+        _, violations = _violations(kind, obj)
     except PolyconducheError as exc:
         _emit(
             {
@@ -205,10 +190,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    kind, extension = load_document(args.extension)
-    if kind != EXTENSION:
-        raise SchemaError("equiv needs an extension document")
-    _require_valid_extension(extension)
+    extension = _load(args.extension, EXTENSION, "equiv")
     u = check_term(extension, tokenize(args.word1))
     v = check_term(extension, tokenize(args.word2))
     bounds = _search_bounds(args)
@@ -230,15 +212,14 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_conduche(args) -> int:
-    kind, obj = load_document(args.functor)
-    if kind != FUNCTOR:
-        raise SchemaError("conduche needs a functor document")
-    _require_valid_functor(obj)
+    obj = _load(args.functor, FUNCTOR, "conduche")
     if isinstance(obj, ExtensionMorphism):
         if args.mode != "fiber":
             raise SchemaError("table mode needs a functor between categories")
         if args.at is None:
             raise SchemaError("fiber mode on an extension morphism needs --at WORD")
+        if args.dim is not None:
+            raise SchemaError("--dim needs a functor between categories")
         representative = check_term(obj.source, tokenize(args.at))
         sigma_d = sorted(obj.target.generators)
         chosen = set(sigma_d)
@@ -253,6 +234,8 @@ def cmd_conduche(args) -> int:
         )
         _emit(report)
         return _VERDICT_EXIT[fiber.verdict]
+    if args.at is not None:
+        raise SchemaError("--at needs an extension morphism")
     if args.mode == "table":
         result = check_conduche(obj, up_to_dim=args.dim)
         report = result.to_json()
@@ -268,10 +251,7 @@ def cmd_conduche(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    kind, category = load_document(args.category)
-    if kind != CATEGORY:
-        raise SchemaError("basis needs a category document")
-    _require_valid(category)
+    category = _load(args.category, CATEGORY, "basis")
     if args.set is not None:
         sigma = [cell for cell in args.set.split(",") if cell]
     elif category.basis is not None and args.dim in category.basis:
@@ -305,10 +285,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    kind, obj = load_document(args.functor)
-    if kind != FUNCTOR:
-        raise SchemaError("transfer needs a functor document")
-    _require_valid_functor(obj)
+    obj = _load(args.functor, FUNCTOR, "transfer")
     if isinstance(obj, ExtensionMorphism):
         top = obj.source.base.dimension + 1
         chosen = set(obj.target.generators)
@@ -334,10 +311,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    kind, category = load_document(args.category)
-    if kind != CATEGORY:
-        raise SchemaError("slice needs a category document")
-    _require_valid(category)
+    category = _load(args.category, CATEGORY, "slice")
     sliced, projection = slice_1cat(category, args.object)
     if args.projection_out:
         save_document(args.projection_out, functor_to_json(projection))
@@ -346,14 +320,10 @@ def cmd_slice(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    kind_f, f = load_document(args.f)
-    kind_g, g = load_document(args.g)
-    if kind_f != FUNCTOR or kind_g != FUNCTOR:
-        raise SchemaError("pullback needs two functor documents")
+    f = _load(args.f, FUNCTOR, "pullback")
+    g = _load(args.g, FUNCTOR, "pullback")
     if isinstance(f, ExtensionMorphism) or isinstance(g, ExtensionMorphism):
         raise SchemaError("pullback needs functors between categories")
-    _require_valid_functor(f)
-    _require_valid_functor(g)
     result = pullback(f, g)
     doc = {
         "apex": category_to_json(result.apex),
@@ -367,13 +337,10 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_movements(args) -> int:
-    kind, extension = load_document(args.extension)
-    if kind != EXTENSION:
-        raise SchemaError("movements needs an extension document")
-    _require_valid_extension(extension)
+    extension = _load(args.extension, EXTENSION, "movements")
     term = check_term(extension, tokenize(args.word))
     if args.dot:
-        sys.stdout.write(movement_graph_dot(extension, term))
+        sys.stdout.write(movement_graph_dot(extension, term, args.direction))
         return EXIT_OK
     listing = []
     for movement in enumerate_movements(extension, term, args.direction):

@@ -21,6 +21,10 @@ CATEGORY = "category"
 EXTENSION = "extension"
 FUNCTOR = "functor"
 
+_BASE = "'base' must be a category document or a path to one"
+_SIDE_KINDS = (CATEGORY, EXTENSION)
+_SIDES = "'source' and 'target' must be category or extension documents or paths to them"
+
 
 def sniff_kind(doc: dict) -> str:
     if not isinstance(doc, dict):
@@ -116,19 +120,8 @@ def category_to_json(category: PresentedCategory) -> dict:
     return doc
 
 
-def _resolve_category(payload, base_dir: Path) -> PresentedCategory:
-    if isinstance(payload, str):
-        nested_kind, nested = load_document(base_dir / payload)
-        if nested_kind != CATEGORY:
-            raise SchemaError(f"{payload!r} is not a category document")
-        return nested
-    if not isinstance(payload, dict):
-        raise SchemaError("'base' must be a path or a category object")
-    return category_from_json(payload)
-
-
 def extension_from_json(doc: dict, base_dir: Path) -> CellularExtension:
-    base = _resolve_category(_require(doc, "base"), base_dir)
+    _, base = _resolve(_require(doc, "base"), base_dir, (CATEGORY,), _BASE)
     entries = _require(doc, "generators")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise SchemaError("'generators' must be an array of objects")
@@ -153,27 +146,11 @@ def extension_to_json(extension: CellularExtension) -> dict:
     }
 
 
-def _resolve_side(payload, base_dir: Path):
-    if isinstance(payload, str):
-        kind, obj = load_document(base_dir / payload)
-    else:
-        kind = sniff_kind(payload)
-        if kind == CATEGORY:
-            obj = category_from_json(payload)
-        elif kind == EXTENSION:
-            obj = extension_from_json(payload, base_dir)
-        else:
-            raise SchemaError("source/target must be category or extension documents")
-    if kind == FUNCTOR:
-        raise SchemaError("source/target must be category or extension documents")
-    return kind, obj
-
-
 def functor_from_json(doc: dict, base_dir: Path):
     """A map between categories, or between extensions when both sides are
     extension documents; the top map level then sends generators."""
-    src_kind, source = _resolve_side(_require(doc, "source"), base_dir)
-    tgt_kind, target = _resolve_side(_require(doc, "target"), base_dir)
+    src_kind, source = _resolve(_require(doc, "source"), base_dir, _SIDE_KINDS, _SIDES)
+    tgt_kind, target = _resolve(_require(doc, "target"), base_dir, _SIDE_KINDS, _SIDES)
     if src_kind != tgt_kind:
         raise SchemaError("source and target documents must have the same kind")
     maps = _by_level(_require(doc, "map"), "map", dict)
@@ -202,22 +179,47 @@ def functor_to_json(functor) -> dict:
     }
 
 
-def load_document(path):
-    """Read a document and build the matching object; returns (kind, object)."""
-    path = Path(path)
+def _read(path: Path):
+    """The JSON value in a file; SchemaError when it cannot be read or decoded."""
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: unreadable ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
+
+
+def _build(doc, base_dir: Path):
+    """(kind, object) for a document whose references resolve in base_dir."""
     kind = sniff_kind(doc)
-    base_dir = path.parent
     if kind == CATEGORY:
         return kind, category_from_json(doc)
     if kind == EXTENSION:
         return kind, extension_from_json(doc, base_dir)
     return kind, functor_from_json(doc, base_dir)
+
+
+def _resolve(payload, base_dir: Path, kinds: tuple[str, ...], message: str):
+    """(kind, object) for a nested base, source or target: an inline document
+    or a path relative to base_dir. Its kind is checked before it is built,
+    so a reference chain is at most functor, extension, category long and
+    can never come back to a document on it."""
+    if isinstance(payload, str):
+        path = base_dir / payload
+        payload, base_dir = _read(path), path.parent
+    if not isinstance(payload, dict) or sniff_kind(payload) not in kinds:
+        raise SchemaError(message)
+    return _build(payload, base_dir)
+
+
+def load_document(path):
+    """Read a document and build the matching object; returns (kind, object)."""
+    path = Path(path)
+    return _build(_read(path), path.parent)
 
 
 def dump_json(doc: dict) -> str:

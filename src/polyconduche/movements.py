@@ -543,8 +543,9 @@ def extend_functor(
     return fold(term, atom, target.compose)
 
 
-def movement_graph_dot(extension: CellularExtension, term: Term) -> str:
-    """The one-step neighborhood of a word as a DOT digraph.
+def movement_graph_dot(extension: CellularExtension, term: Term, direction: str = "both") -> str:
+    """The one-step neighborhood of a word as a DOT digraph, over the
+    movements enumerate_movements lists in the given direction.
 
     Forward movements point away from the word, backward movements into it;
     edges are labeled by case.
@@ -552,7 +553,7 @@ def movement_graph_dot(extension: CellularExtension, term: Term) -> str:
     lines = ["digraph movements {", "  rankdir=LR;"]
     center = serialize(term.word)
     lines.append(f'  "{_dot_escape(center)}";')
-    for movement in enumerate_movements(extension, term):
+    for movement in enumerate_movements(extension, term, direction):
         neighbor = serialize(_splice(term, movement).word)
         label = f"case {movement.case}"
         if movement.direction == FORWARD:

@@ -10,9 +10,10 @@ substitutions copy only the path to the root, and evaluation folds the tree.
 Words are built from the tree on demand.
 
 What parsing reads of an extension is built once, on first use, and kept on
-the extension (see ParseTables): for each level k < n, the k-source and
-k-target of every top cell and the (n, k) composition table, plus one atom
-term per (kind, name), which every parse, enumeration and movement shares.
+the extension (see ParseTables): for each level k, the k-source and k-target
+of every base cell at level k or above and the (n, k) composition table,
+plus one atom term per (kind, name), which every parse, enumeration and
+movement shares.
 A lookup that misses these tables falls back to the base category, so a
 malformed or never-checked extension raises what the base raises. Because
 the tables are kept, an extension and its base must not be mutated after
@@ -146,10 +147,11 @@ def _tokens(term: Term) -> tuple:
 class ParseTables:
     """What parsing reads of an extension, kept on it from the first use on.
 
-    For each level k < n, sources[k] and targets[k] map each top cell x to
-    base.boundary(x, k, side), and composites[k] maps each pair (x, y) of
-    the (n, k) composition table whose x is a top cell to x *k y. A cell or
-    pair whose lookup in the base would raise is left out. atoms holds the
+    sources and targets are categories.boundary_maps of the base: for each
+    level k, they map each cell x at level k or above to
+    base.boundary(x, k, side), leaving out a cell whose lookup in the base
+    would raise. composites[k] maps each pair (x, y) of the (n, k)
+    composition table whose x is a top cell to x *k y. atoms holds the
     one atom term per (kind, name), and units the atom of _unit_on per
     (cell, k, side) asked for; parsed maps each atom token that a parse has
     accepted to its atom term, and symbols holds the composition tokens *0
@@ -163,10 +165,9 @@ class ParseTables:
     def __init__(self, extension: CellularExtension):
         base = extension.base
         n = self.dimension = base.dimension
-        top = base.cells.get(n, [])
-        self.sources = _boundary_tables(base.src, top, n)
-        self.targets = _boundary_tables(base.tgt, top, n)
-        tops = set(top)
+        self.sources = boundary_maps(base, SRC)
+        self.targets = boundary_maps(base, TGT)
+        tops = set(base.cells.get(n, []))
         self.composites = {
             k: {pair: cell for pair, cell in base.comp.get((n, k), {}).items() if pair[0] in tops}
             for k in range(n)
@@ -175,17 +176,6 @@ class ParseTables:
         self.units: dict[tuple[str, int, str], Term] = {}
         self.parsed: dict = {}
         self.symbols = frozenset(comp(k) for k in range(n + 1))
-
-
-def _boundary_tables(steps: dict, top: list[str], n: int) -> dict[int, dict[str, str]]:
-    """tables[k][x] == the walk of boundary(x, k, side) down the side's
-    codimension-1 maps, for every top cell x whose walk finds each step."""
-    tables = {}
-    above = {x: x for x in top}
-    for k in range(n - 1, -1, -1):
-        step = steps.get(k + 1, {})
-        above = tables[k] = {x: step[y] for x, y in above.items() if y in step}
-    return tables
 
 
 def _tables_of(extension: CellularExtension) -> ParseTables:

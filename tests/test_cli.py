@@ -87,6 +87,28 @@ def test_validate_missing_file_is_a_usage_error(capsys):
     assert code == 3
 
 
+UNREADABLE = {
+    "undecodable.json": b"\xff\xfe",
+    "deep.json": b"[" * 200_000,
+    "self.ext.json": b'{"base": "self.ext.json", "generators": []}',
+    "self.fun.json": b'{"source": "self.fun.json", "target": "self.fun.json", "map": {}}',
+}
+
+
+@pytest.mark.parametrize("name", [None, *UNREADABLE])
+def test_validate_refuses_unreadable_documents_and_reference_cycles(capsys, tmp_path, name):
+    # None stands for a directory given as the document.
+    path = tmp_path
+    if name is not None:
+        path = tmp_path / name
+        path.write_bytes(UNREADABLE[name])
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_equiv_finds_the_braiding_witness(capsys):
     code, out = run_cli(["equiv", EH, BRAID_LEFT, BRAID_RIGHT], capsys)
     assert code == 0
@@ -187,6 +209,24 @@ def test_conduche_morphism_document_needs_fiber_mode_and_a_word(capsys):
     assert code == 3
     code, _ = run_cli(["conduche", EH_FUN, "--mode", "fiber"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["conduche", COLLAPSE, "--at", "(c:a)"], "--at"),
+        (["conduche", COLLAPSE, "--mode", "fiber", "--at", "(c:a)"], "--at"),
+        (["conduche", EH_FUN, "--mode", "fiber", "--at", BRAID_LEFT, "--dim", "1"], "--dim"),
+    ],
+    ids=["at-table", "at-fiber", "dim-morphism"],
+)
+def test_conduche_refuses_flags_it_would_ignore(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_basis_uses_the_declared_basis(capsys):
@@ -303,6 +343,23 @@ def test_movements_dot_output(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "case 2" in out and "case 3" in out
+
+
+@pytest.mark.parametrize(
+    "direction,edges",
+    [("both", {"in", "out"}), ("forward", {"out"}), ("backward", {"in"})],
+)
+def test_movements_dot_honours_the_direction(capsys, direction, edges):
+    word = "((c:a)*0(i:id_star))"
+    code, out = run_cli(["movements", EH, word, "--dot", "--direction", direction], capsys)
+    assert code == 0
+    center = f'"{word}"'
+    found = set()
+    for line in out.splitlines():
+        if " -> " in line:
+            source, _ = line.strip().split(" -> ")
+            found.add("out" if source == center else "in")
+    assert found == edges
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -120,6 +120,20 @@ def test_load_document_failures_are_schema_errors(tmp_path):
     (tmp_path / "broken.json").write_text("{not json")
     with pytest.raises(SchemaError):
         load_document(tmp_path / "broken.json")
+    with pytest.raises(SchemaError):
+        load_document(FIXTURES)
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
+    with pytest.raises(SchemaError):
+        load_document(tmp_path / "undecodable.json")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    with pytest.raises(SchemaError):
+        load_document(tmp_path / "deep.json")
+    save_document(tmp_path / "self.json", {"base": "self.json", "generators": []})
+    with pytest.raises(SchemaError):
+        load_document(tmp_path / "self.json")
+    save_document(tmp_path / "loop.json", {"source": "loop.json", "target": "loop.json", "map": {}})
+    with pytest.raises(SchemaError):
+        load_document(tmp_path / "loop.json")
 
 
 def test_dump_json_is_stable():
