@@ -10,6 +10,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -54,6 +55,8 @@ from .polygraphs import (
 )
 from .terms import check_extension, check_term
 from .words import serialize, tokenize
+
+FIBER_SIZE_BOUND = 4  # conduche --size-bound when not given
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -107,11 +110,9 @@ def _emit(doc: dict) -> None:
 
 
 def _search_bounds(args) -> SearchBounds:
-    return SearchBounds(
-        size_slack=args.size_slack,
-        max_steps=args.max_steps,
-        max_visited=SearchBounds.from_env().max_visited,
-    )
+    """The bounds the search flags give; a flag that is None keeps its default."""
+    given = {n: v for n in ("size_slack", "max_steps") if (v := getattr(args, n)) is not None}
+    return SearchBounds(max_visited=SearchBounds.from_env().max_visited, **given)
 
 
 def _add_search_flags(sub) -> None:
@@ -155,17 +156,22 @@ def _violations(kind: str, obj) -> tuple[str, list]:
     return FUNCTOR, _violations_json(validate_functor(obj))
 
 
-def _load(path, kind: str, command: str):
+def _load(args, path, kind: str, command: str):
     """The document at path, refused unless it has the given kind and passes
     every check of validate, so that no verdict comes from a document
-    validate rejects."""
-    found, obj = load_document(path)
+    validate rejects. args.loaded keeps each document that passed, by
+    resolved path, so that a run reads and checks a path once."""
+    key = os.path.realpath(path)
+    cached = args.loaded.get(key)
+    found, obj = cached or load_document(path)
     if found != kind:
         article = "an" if kind == EXTENSION else "a"
         raise SchemaError(f"{command} needs {article} {kind} document")
-    part, violations = _violations(kind, obj)
-    if violations:
-        raise SchemaError(f"invalid {part}: {violations}")
+    if cached is None:
+        part, violations = _violations(kind, obj)
+        if violations:
+            raise SchemaError(f"invalid {part}: {violations}")
+        args.loaded[key] = (found, obj)
     return obj
 
 
@@ -190,7 +196,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    extension = _load(args.extension, EXTENSION, "equiv")
+    extension = _load(args, args.extension, EXTENSION, "equiv")
     u = check_term(extension, tokenize(args.word1))
     v = check_term(extension, tokenize(args.word2))
     bounds = _search_bounds(args)
@@ -212,7 +218,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_conduche(args) -> int:
-    obj = _load(args.functor, FUNCTOR, "conduche")
+    obj = _load(args, args.functor, FUNCTOR, "conduche")
+    size_bound = FIBER_SIZE_BOUND if args.size_bound is None else args.size_bound
     if isinstance(obj, ExtensionMorphism):
         if args.mode != "fiber":
             raise SchemaError("table mode needs a functor between categories")
@@ -226,24 +233,30 @@ def cmd_conduche(args) -> int:
         sigma_c = sorted(
             g for g in obj.source.generators if obj.phi.get(g) in chosen
         )
-        query = FiberQuery(representative, sigma_c, sigma_d, args.size_bound)
+        query = FiberQuery(representative, sigma_c, sigma_d, size_bound)
         fiber = check_fiber_bijection(obj, query, _search_bounds(args))
         report = fiber.to_json()
         report.update(
-            {"mode": "fiber", "size_bound": args.size_bound, "at": args.at}
+            {"mode": "fiber", "size_bound": size_bound, "at": args.at}
         )
         _emit(report)
         return _VERDICT_EXIT[fiber.verdict]
     if args.at is not None:
         raise SchemaError("--at needs an extension morphism")
+    # Only the search of --at reads the search flags, and only fibers the size bound.
+    ignored = (["size_bound"] if args.mode == "table" else []) + ["size_slack", "max_steps"]
+    for name in ignored:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise SchemaError(f"{flag} has no effect in {args.mode} mode on a functor")
     if args.mode == "table":
         result = check_conduche(obj, up_to_dim=args.dim)
         report = result.to_json()
         report["mode"] = "table"
     else:
-        result = fiber_conduche(obj, args.size_bound, up_to_dim=args.dim)
+        result = fiber_conduche(obj, size_bound, up_to_dim=args.dim)
         report = result.to_json()
-        report.update({"mode": "fiber", "size_bound": args.size_bound})
+        report.update({"mode": "fiber", "size_bound": size_bound})
     if args.dim is not None:
         report["up_to_dim"] = args.dim
     _emit(report)
@@ -251,7 +264,7 @@ def cmd_conduche(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    category = _load(args.category, CATEGORY, "basis")
+    category = _load(args, args.category, CATEGORY, "basis")
     if args.set is not None:
         sigma = [cell for cell in args.set.split(",") if cell]
     elif category.basis is not None and args.dim in category.basis:
@@ -285,7 +298,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    obj = _load(args.functor, FUNCTOR, "transfer")
+    obj = _load(args, args.functor, FUNCTOR, "transfer")
     if isinstance(obj, ExtensionMorphism):
         top = obj.source.base.dimension + 1
         chosen = set(obj.target.generators)
@@ -311,7 +324,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    category = _load(args.category, CATEGORY, "slice")
+    category = _load(args, args.category, CATEGORY, "slice")
     sliced, projection = slice_1cat(category, args.object)
     if args.projection_out:
         save_document(args.projection_out, functor_to_json(projection))
@@ -320,8 +333,8 @@ def cmd_slice(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    f = _load(args.f, FUNCTOR, "pullback")
-    g = _load(args.g, FUNCTOR, "pullback")
+    f = _load(args, args.f, FUNCTOR, "pullback")
+    g = _load(args, args.g, FUNCTOR, "pullback")
     if isinstance(f, ExtensionMorphism) or isinstance(g, ExtensionMorphism):
         raise SchemaError("pullback needs functors between categories")
     result = pullback(f, g)
@@ -337,7 +350,7 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_movements(args) -> int:
-    extension = _load(args.extension, EXTENSION, "movements")
+    extension = _load(args, args.extension, EXTENSION, "movements")
     term = check_term(extension, tokenize(args.word))
     if args.dot:
         sys.stdout.write(movement_graph_dot(extension, term, args.direction))
@@ -393,12 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="factorization tables or fiber bijections",
     )
     p.add_argument("--dim", type=_level, default=None, help="check up to this level (at least 1)")
-    p.add_argument(
-        "--size-bound", type=_bound, default=4, help="word size cap for fiber words"
-    )
+    p.add_argument("--size-bound", type=_bound, help=f"fiber word size, {FIBER_SIZE_BOUND} if unset")
     p.add_argument("--at", default=None, help="fiber representative word")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_conduche)
+    # None: cmd_conduche refuses a flag it would ignore, and sets the default.
+    p.set_defaults(func=cmd_conduche, size_slack=None, max_steps=None)
 
     p = sub.add_parser(
         "basis",
@@ -478,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.loaded = {}  # see _load
     try:
         return args.func(args)
     except PolyconducheError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import SRC, TGT, OmegaFunctor, PresentedCategory, boundary_maps, truncate
+from .categories import OmegaFunctor, PresentedCategory, truncate
 from .errors import NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     DISTINCT,
@@ -28,10 +28,11 @@ from .terms import (
     Term,
     _enumerate,
     _pair,
+    _tables_of,
+    _term_of,
+    _value_buckets,
     all_atoms,
     check_term,
-    enumerate_terms,
-    fold_enumerated,
     restriction_extension,
 )
 from .words import (
@@ -291,30 +292,16 @@ def check_fiber_bijection(
     ext_d = _restrict_generators(morphism.target, sorted(sigma_d))
     rep_image = induced_term(morphism, query.a)
 
-    def member(extension: CellularExtension, candidate: Term, rep: Term) -> bool | None:
-        outcome = equivalent(extension, candidate, rep, bounds)
-        if outcome.verdict == WITNESS:
-            return True
-        if outcome.verdict == DISTINCT:
-            return False
-        return None
-
-    def source_atom(atom: Term) -> tuple:
-        if atom.kind == GENERATOR:
-            return (atom.kind, morphism.phi[atom.name])
-        return (atom.kind, morphism.base.apply(atom.name))
+    def source_image(atom: Term) -> str:
+        return morphism.phi[atom.name] if atom.kind == GENERATOR else morphism.base.apply(atom.name)
 
     shapes: dict[tuple, int] = {}
-    candidates_c, _ = enumerate_terms(ext_c, query.size_bound)
-    source_shapes = _image_shapes(candidates_c, shapes, source_atom)
     unknown_src = False
     seen: dict[int, Term] = {}
-    for candidate, shape in zip(candidates_c, source_shapes):
-        verdict = member(ext_c, candidate, query.a)
-        if verdict is None:
-            unknown_src = True
-            continue
-        if not verdict:
+    for candidate, shape in _shaped_terms(ext_c, query.size_bound, shapes, source_image):
+        verdict = equivalent(ext_c, candidate, query.a, bounds).verdict
+        if verdict != WITNESS:
+            unknown_src = unknown_src or verdict != DISTINCT
             continue
         if shape in seen:
             return FiberReport(
@@ -327,16 +314,12 @@ def check_fiber_bijection(
             )
         seen[shape] = candidate
 
-    candidates_d, _ = enumerate_terms(ext_d, query.size_bound)
     unknown_tgt = False
     unhit: list[Term] = []
-    target_shapes = _image_shapes(candidates_d, shapes, lambda atom: (atom.kind, atom.name))
-    for candidate, shape in zip(candidates_d, target_shapes):
-        verdict = member(ext_d, candidate, rep_image)
-        if verdict is None:
-            unknown_tgt = True
-            continue
-        if verdict and shape not in seen:
+    for candidate, shape in _shaped_terms(ext_d, query.size_bound, shapes, lambda atom: atom.name):
+        verdict = equivalent(ext_d, candidate, rep_image, bounds).verdict
+        unknown_tgt = unknown_tgt or verdict not in (WITNESS, DISTINCT)
+        if verdict == WITNESS and shape not in seen:
             unhit.append(candidate)
 
     if unhit and not unknown_src:
@@ -353,9 +336,12 @@ def fiber_conduche(
     functor, with full generator sets.
 
     Each side's words are enumerated once per level as records of their
-    value and the shape id of their image word, bucketed by value, so each
-    fiber comparison is a dictionary pass over ints. A term is rebuilt only
-    for a reported witness.
+    value and the shape id of their image word (terms._value_buckets): an
+    atom's is (kind, name of its image), a composite's (left id, k, right
+    id), interned per level. The induced word map being token-wise, two
+    words of one level have the same image word exactly when their ids are
+    equal, so each fiber comparison is a dictionary pass over ints. A term
+    is rebuilt only for a reported witness.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
@@ -363,12 +349,13 @@ def fiber_conduche(
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
         shapes: dict[tuple, int] = {}
-        src_buckets = _value_buckets(
-            functor.source, level, size_bound, shapes,
-            lambda atom: (atom.kind, functor.apply(atom.name)),
+        src_buckets, _ = _value_buckets(
+            functor.source, full_extension(functor.source, level),
+            lambda atom: (atom.kind, functor.apply(atom.name)), shapes, size_bound,
         )
-        tgt_buckets = _value_buckets(
-            functor.target, level, size_bound, shapes, lambda atom: (atom.kind, atom.name)
+        tgt_buckets, _ = _value_buckets(
+            functor.target, full_extension(functor.target, level),
+            lambda atom: (atom.kind, atom.name), shapes, size_bound,
         )
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
@@ -400,79 +387,22 @@ def fiber_conduche(
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
-def _value_buckets(
-    category: PresentedCategory, level: int, size_bound: int, shapes: dict, atom_key
-) -> dict[str, list[tuple]]:
-    """The level's words up to the size bound, in enumerate_terms' order,
-    as records (value, shape id, left, k, right) bucketed by value.
-
-    An atom's record holds its term as left and None as k; its value is the
-    generator or the identity on the base cell, and atom_key(atom) names its
-    image. A composite's value is one table lookup, and its shape is
-    (left id, k, right id), interned in `shapes` as in _image_shapes.
-    Factors meet when their values' boundaries do, which in a valid category
-    is when their terms' boundaries do.
-    """
-    sources, targets = boundary_maps(category, SRC), boundary_maps(category, TGT)
-    tables = [category.comp.get((level, k), {}) for k in range(level)]
-    units = category.ids[level - 1]
-
-    def atom(term: Term) -> tuple:
-        value = term.name if term.kind == GENERATOR else units[term.name]
-        return (value, shapes.setdefault(atom_key(term), len(shapes)), term, None, None)
+def _shaped_terms(extension: CellularExtension, size_bound: int, shapes: dict, image) -> list:
+    """The terms of enumerate_terms(extension, size_bound), each with the
+    shape id of its image word as in fiber_conduche, where image(atom) names
+    the image of an atom and `shapes` numbers the shapes, from one
+    enumeration pass."""
+    tables = _tables_of(extension)
 
     def pair(left: tuple, k: int, right: tuple) -> tuple:
-        value = tables[k].get((left[0], right[0]))
-        if value is None:
-            value = category.compose(left[0], right[0], k)  # raises UndefinedComposite
-        return (value, shapes.setdefault((left[1], k, right[1]), len(shapes)), left, k, right)
+        return (_pair(left[0], k, right[0]), shapes.setdefault((left[1], k, right[1]), len(shapes)))
 
-    records, _ = _enumerate(
-        [atom(term) for term in all_atoms(full_extension(category, level))],
-        level - 1,
-        lambda record, k: sources[k][record[0]],
-        lambda record, k: targets[k][record[0]],
-        pair,
-        size_bound,
+    atoms = [(a, shapes.setdefault((a.kind, image(a)), len(shapes))) for a in all_atoms(extension)]
+    items, _ = _enumerate(
+        atoms, extension.dimension, lambda item, k: tables.sources[k][item[0].src],
+        lambda item, k: tables.targets[k][item[0].tgt], pair, size_bound,
     )
-    buckets: dict[str, list[tuple]] = {}
-    for record in records:
-        buckets.setdefault(record[0], []).append(record)
-    return buckets
-
-
-def _term_of(record: tuple) -> Term:
-    """The term a record of _value_buckets stands for, rebuilt from its
-    factors with an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit."""
-    built: list[Term] = []
-    todo: list = [record]
-    while todo:
-        item = todo.pop()
-        if item.__class__ is int:
-            right = built.pop()
-            built.append(_pair(built.pop(), item, right))
-        elif item[3] is None:
-            built.append(item[2])
-        else:
-            todo += (item[3], item[4], item[2])
-    return built[0]
-
-
-def _image_shapes(terms: list[Term], shapes: dict, atom_key) -> list[int]:
-    """The shape id of each term's image word, for a factor-closed list
-    such as enumerate_terms returns.
-
-    atom_key(atom) names the image of an atom; a composite's shape is
-    (left id, k, right id). Ids are interned in `shapes`, so, the induced
-    word map being token-wise, two terms of one level have the same image
-    word exactly when their ids are equal.
-    """
-    return fold_enumerated(
-        terms,
-        lambda atom: shapes.setdefault(atom_key(atom), len(shapes)),
-        lambda left, right, k: shapes.setdefault((left, k, right), len(shapes)),
-    )
+    return items
 
 
 # -- movement lifting --------------------------------------------------------

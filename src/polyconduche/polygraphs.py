@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
-from .movements import DISTINCT, SearchBounds, WITNESS, equivalent
+from .movements import SearchBounds, WITNESS, equivalent
 from .terms import (
+    GENERATOR,
     IDENTITY,
     CellularExtension,
-    Term,
+    _term_of,
     _unit_on,
-    enumerate_terms,
-    evaluate_enumerated,
+    _value_buckets,
     restriction_extension,
 )
 
@@ -118,21 +118,46 @@ def _reduced(extension: CellularExtension):
 
     Every term is connected to such a representative of the same or smaller
     size, so checking connectivity on these alone decides it for the full
-    set of preimage words within the bound, at a fraction of the cost.
+    set of preimage words within the bound, at a fraction of the cost. It
+    reads each factor as a record whose left is the term and k its level.
     """
+    admit = _reduced_records(extension)
+    return lambda left, k, right: admit((0, 0, left, left.level), k, (0, 0, right, right.level))
+
+
+def _reduced_records(extension: CellularExtension):
+    """_reduced on the records of terms._value_buckets. Factors that meet at
+    k share the k-boundary a unit would sit on, so (i:x) is a unit its
+    partner absorbs when x is the unit on its own k-boundary."""
     n = extension.dimension
     comp = extension.base.comp
 
-    def admit(left: Term, k: int, right: Term) -> bool:
-        lid = left.name if left.kind == IDENTITY else None
-        rid = right.name if right.kind == IDENTITY else None
-        if lid is not None and lid == _unit_on(extension, right.tgt, k, TGT):
+    def admit(left: tuple, k: int, right: tuple) -> bool:
+        lid = left[2].name if left[3] is None and left[2].kind == IDENTITY else None
+        rid = right[2].name if right[3] is None and right[2].kind == IDENTITY else None
+        if lid is not None and lid == _unit_on(extension, lid, k, SRC):
             return False
-        if rid is not None and rid == _unit_on(extension, left.src, k, SRC):
+        if rid is not None and rid == _unit_on(extension, rid, k, TGT):
             return False
         return lid is None or rid is None or k == n or (lid, rid) not in comp.get((n, k), {})
 
     return admit
+
+
+def _basis_records(category: PresentedCategory, extension: CellularExtension, size_bound, max_count):
+    """The words of enumerate_terms(extension, size_bound, max_count,
+    admit=_reduced(extension)) as terms._value_buckets records, with the
+    truncation flag and, by shape id, each word's atoms, left to right,
+    which re-association leaves fixed."""
+    shapes: dict[tuple, int] = {}
+    buckets, truncated = _value_buckets(
+        category, extension, lambda atom: (atom,), shapes, size_bound, max_count,
+        _reduced_records(extension),
+    )
+    atoms: list[tuple] = []
+    for key in shapes:  # factors are numbered before the words they make
+        atoms.append(key if len(key) == 1 else atoms[key[0]] + atoms[key[2]])
+    return buckets, truncated, atoms
 
 
 def check_basis(
@@ -143,11 +168,16 @@ def check_basis(
 ) -> BasisVerdict:
     """Is sigma a basis for the category's level-cells?
 
-    Missing preimages are proven via the exact closure. Connectivity of the
-    preimage words of each cell is checked by merging components with the
-    bounded equivalence search: a Distinct verdict between two preimages is
-    a proven basis failure, an Unknown leaves the cell unresolved. When the
-    max_terms cap cut the enumeration short, unresolved ends with
+    Missing preimages are proven via the exact closure. The reduced preimage
+    words of each cell are enumerated as records (_basis_records). Preimages
+    of one cell share their boundaries, so the equivalence search tells two
+    apart only by their generator multisets: the first cell whose preimages
+    have two multisets is a proven basis failure. Otherwise the search
+    compares each cell's preimages with its first, and an Unknown leaves the
+    cell unresolved; at level 1 no reduced word but an atom holds an
+    identity, so words with the same atoms are equivalent by re-association
+    and are not searched. Terms are built only for these. When the max_terms
+    cap cut the enumeration short, unresolved ends with
     "<enumeration truncated>", whatever cells it lists.
     """
     bounds = bounds or BasisBounds()
@@ -158,45 +188,38 @@ def check_basis(
             raise SchemaError(f"{cell!r} is not a level-{level} cell")
 
     reachable = _reachable_values(category, level, sigma)
-    for a in category.cells.get(level, []):
+    cells = category.cells.get(level, [])
+    for a in cells:
         if a not in reachable:
             return BasisVerdict(NOT_BASIS, {"kind": "MissingPreimage", "cell": a})
 
-    size_bound = (
-        bounds.word_size
-        if bounds.word_size is not None
-        else default_word_bound(category, level)
-    )
+    size_bound = bounds.word_size
+    if size_bound is None:
+        size_bound = default_word_bound(category, level)
     extension = restriction_extension(category, level, sigma)
-    terms, truncated = enumerate_terms(
-        extension, size_bound, bounds.max_terms, admit=_reduced(extension)
-    )
-    buckets: dict[str, list[Term]] = {}
-    for term, value in zip(terms, evaluate_enumerated(category, terms)):
-        buckets.setdefault(value, []).append(term)
+    buckets, truncated, atoms = _basis_records(category, extension, size_bound, bounds.max_terms)
 
-    unresolved: list[str] = []
-    for a in category.cells.get(level, []):
-        preimages = buckets.get(a, [])
-        if not preimages:
-            # Reachable by closure but not within the word-size bound.
-            unresolved.append(a)
-            continue
-        representative = preimages[0]
-        for candidate in preimages[1:]:
-            outcome = equivalent(extension, candidate, representative, bounds.search)
-            if outcome.verdict == DISTINCT:
-                return BasisVerdict(
-                    NOT_BASIS,
-                    {
-                        "kind": "DisconnectedPair",
-                        "pair": [representative.serialize(), candidate.serialize()],
-                        "cell": a,
-                    },
-                )
-            if outcome.verdict != WITNESS and a not in unresolved:
-                unresolved.append(a)
+    def multiset(record: tuple) -> list[str]:
+        return sorted(atom.name for atom in atoms[record[1]] if atom.kind == GENERATOR)
 
+    for a in cells:
+        first, *others = buckets.get(a) or [None]
+        for record in others:
+            if atoms[record[1]] != atoms[first[1]] and multiset(record) != multiset(first):
+                pair = [_term_of(first).serialize(), _term_of(record).serialize()]
+                return BasisVerdict(NOT_BASIS, {"kind": "DisconnectedPair", "pair": pair, "cell": a})
+
+    def connected(preimages: list[tuple]) -> bool:
+        first = preimages[0]
+        searched = [r for r in preimages[1:] if level > 1 or atoms[r[1]] != atoms[first[1]]]
+        representative = _term_of(first) if searched else None
+        return all(
+            equivalent(extension, _term_of(r), representative, bounds.search).verdict == WITNESS
+            for r in searched
+        )
+
+    # A cell without preimages is reachable by closure but not within the word-size bound.
+    unresolved = [a for a in cells if a not in buckets or not connected(buckets[a])]
     if truncated:
         unresolved.append("<enumeration truncated>")
     if unresolved:

@@ -553,12 +553,12 @@ def enumerate_terms(
     composites of factors that meet; a rejected composite is never built and
     never used as a factor.
     """
-    sources, targets = boundary_maps(extension.base, SRC), boundary_maps(extension.base, TGT)
+    tables = _tables_of(extension)
     return _enumerate(
         all_atoms(extension),
         extension.dimension,
-        lambda term, k: sources[k][term.src],
-        lambda term, k: targets[k][term.tgt],
+        lambda term, k: tables.sources[k][term.src],
+        lambda term, k: tables.targets[k][term.tgt],
         _pair,
         max_size,
         max_count,
@@ -613,27 +613,59 @@ def _enumerate(
     return [item for items in by_size for item in items], False
 
 
-def fold_enumerated(terms: list[Term], atom, composite) -> list:
-    """The values of a factor-closed list of distinct terms, factors first,
-    such as enumerate_terms returns: atom(t) for each atom, and
-    composite(left value, right value, k) once for each composite, read off
-    its factors' values. Gives the same values as folding each term alone."""
-    memo: dict[Term, object] = {}  # keyed by node identity
-    for t in terms:
-        memo[t] = atom(t) if t.left is None else composite(memo[t.left], memo[t.right], t.level)
-    return list(memo.values())
+def _value_buckets(
+    category: PresentedCategory, extension: CellularExtension, atom_key, shapes: dict,
+    max_size: int, max_count: int | None = None, admit=None,
+) -> tuple[dict[str, list[tuple]], bool]:
+    """The words of enumerate_terms(extension, max_size, max_count) over the
+    category's truncation below a level, with generators at that level, as
+    records (value, shape id, left, k, right) bucketed by value, and truncated.
+    An atom's record holds its term as left and None as k. Shapes are
+    numbered in `shapes`, factors first: an atom's is atom_key(atom), a
+    composite's (left id, k, right id). Factors meet when their values'
+    boundaries do, which in a valid category is when their terms' do.
+    admit, when given, filters pairs of records."""
+    tables = _tables_of(extension)
+    level = tables.dimension + 1
+    src, tgt, units = category.src[level], category.tgt[level], category.ids[level - 1]
+    composites = [category.comp.get((level, k), {}) for k in range(level)]
+
+    def pair(left: tuple, k: int, right: tuple) -> tuple:
+        # A missing entry goes through compose, which raises UndefinedComposite.
+        value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
+        return (value, shapes.setdefault((left[1], k, right[1]), len(shapes)), left, k, right)
+
+    atoms = [
+        (atom.name if atom.kind == GENERATOR else units[atom.name],
+         shapes.setdefault(atom_key(atom), len(shapes)), atom, None, None)
+        for atom in all_atoms(extension)
+    ]
+    records, truncated = _enumerate(
+        atoms, level - 1, lambda record, k: tables.sources[k][src[record[0]]],
+        lambda record, k: tables.targets[k][tgt[record[0]]], pair, max_size, max_count, admit,
+    )
+    buckets: dict[str, list[tuple]] = {}
+    for record in records:
+        buckets.setdefault(record[0], []).append(record)
+    return buckets, truncated
 
 
-def evaluate_enumerated(category: PresentedCategory, terms: list[Term]) -> list[str]:
-    """evaluate on every term of a factor-closed, smallest-first list whose
-    generators are all cells of the category, each composite composed once."""
-
-    def atom(node: Term) -> str:
-        if node.kind == IDENTITY:
-            return category.ids[node.extension.dimension][node.name]
-        return node.name
-
-    return fold_enumerated(terms, atom, category.compose)
+def _term_of(record: tuple) -> Term:
+    """The term a record of _value_buckets stands for, rebuilt from its
+    factors with an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    built: list[Term] = []
+    todo: list = [record]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is int:
+            right = built.pop()
+            built.append(_pair(built.pop(), item, right))
+        elif item[3] is None:
+            built.append(item[2])
+        else:
+            todo += (item[3], item[4], item[2])
+    return built[0]
 
 
 def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Term:

@@ -217,8 +217,16 @@ def test_conduche_morphism_document_needs_fiber_mode_and_a_word(capsys):
         (["conduche", COLLAPSE, "--at", "(c:a)"], "--at"),
         (["conduche", COLLAPSE, "--mode", "fiber", "--at", "(c:a)"], "--at"),
         (["conduche", EH_FUN, "--mode", "fiber", "--at", BRAID_LEFT, "--dim", "1"], "--dim"),
+        (["conduche", COLLAPSE, "--size-bound", "4"], "--size-bound"),
+        (["conduche", COLLAPSE, "--size-slack", "3"], "--size-slack"),
+        (["conduche", COLLAPSE, "--max-steps", "64"], "--max-steps"),
+        (["conduche", COLLAPSE, "--mode", "fiber", "--size-slack", "1"], "--size-slack"),
+        (["conduche", COLLAPSE, "--mode", "fiber", "--max-steps", "1"], "--max-steps"),
     ],
-    ids=["at-table", "at-fiber", "dim-morphism"],
+    ids=[
+        "at-table", "at-fiber", "dim-morphism", "size-bound-table", "size-slack-table",
+        "max-steps-table", "size-slack-fiber", "max-steps-fiber",
+    ],
 )
 def test_conduche_refuses_flags_it_would_ignore(capsys, argv, message):
     code = main(argv)
@@ -227,6 +235,31 @@ def test_conduche_refuses_flags_it_would_ignore(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+def test_conduche_fiber_mode_reports_the_default_size_bound(capsys):
+    code, out = run_cli(["conduche", COLLAPSE, "--mode", "fiber"], capsys)
+    assert code == 1
+    assert json.loads(out)["size_bound"] == 4
+
+
+def test_pullback_of_one_path_loads_it_once(capsys, monkeypatch, tmp_path):
+    copy = tmp_path / "collapse.fun.json"
+    for name in ("collapse.fun.json", "arrow.cat.json", "loop.cat.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    code, expected = run_cli(["pullback", COLLAPSE, str(copy)], capsys)
+    assert code == 0
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_document(path)
+
+    monkeypatch.setattr(cli, "load_document", counted)
+    same = str(FIXTURES / ".." / FIXTURES.name / "collapse.fun.json")
+    code, out = run_cli(["pullback", COLLAPSE, same], capsys)
+    assert (code, out) == (0, expected)
+    assert calls == [COLLAPSE]
 
 
 def test_basis_uses_the_declared_basis(capsys):

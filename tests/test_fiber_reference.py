@@ -1,11 +1,13 @@
 """The fiber route and the basis check against per-term oracles.
 
 `fiber_conduche` enumerates records of each word's value and image shape,
-read off its two factors, and builds a term only for a witness;
-`check_basis` reads each enumerated term's value off its two factors. The
-oracles below do what they did before that: enumerate with a plain nested
-loop, evaluate every term from its atoms and relabel every source word token
-by token. Verdicts and witnesses must agree exactly.
+read off its two factors, and builds a term only for a witness.
+`check_basis` enumerates records of each reduced word's value and atom
+sequence, decides NotBasis by generator multisets, and rebuilds terms only
+for a witness or an equivalence search. The oracles below do what they did
+before that: enumerate terms with a plain nested loop, evaluate every term
+from its atoms, relabel every source word token by token and compare every
+preimage with `equivalent`. Verdicts and witnesses must agree exactly.
 """
 
 from pathlib import Path
@@ -18,6 +20,7 @@ from polyconduche.conduche import (
     FAIL,
     PASS,
     ConducheReport,
+    _shaped_terms,
     fiber_conduche,
     full_extension,
     induced_word_map,
@@ -38,6 +41,7 @@ from polyconduche.polygraphs import (
     UNKNOWN,
     BasisBounds,
     BasisVerdict,
+    _basis_records,
     _reachable_values,
     _reduced,
     check_basis,
@@ -46,13 +50,13 @@ from polyconduche.polygraphs import (
     transfer_basis,
 )
 from polyconduche.terms import (
+    GENERATOR,
     IDENTITY,
+    _term_of,
     all_atoms,
     compose_terms,
     enumerate_terms,
     evaluate,
-    evaluate_enumerated,
-    fold_enumerated,
     restriction_extension,
 )
 
@@ -254,13 +258,89 @@ def test_check_basis_matches_per_term_oracle():
 
 @pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])
 def test_fold_enumerated_equals_evaluate(category):
+    """The value each enumerated basis record folds from its factors' values
+    is evaluate of its rebuilt term, and its shape id gives the term's atoms."""
     for level in range(1, category.dimension + 1):
         sigma = list(category.cells.get(level, []))
-        terms, _ = enumerate_terms(full_extension(category, level), 3)
-        expected = [evaluate(category, sigma, term) for term in terms]
-        assert evaluate_enumerated(category, terms) == expected
-        sizes = fold_enumerated(terms, lambda atom: 0, lambda left, right, k: left + right + 1)
-        assert sizes == [term.size for term in terms]
+        extension = restriction_extension(category, level, sigma)
+        buckets, _, atoms = _basis_records(category, extension, 3, None)
+        for value, records in buckets.items():
+            for record in records:
+                term = _term_of(record)
+                assert value == record[0] == evaluate(category, sigma, term)
+                assert [atom.serialize() for atom in atoms[record[1]]] == [
+                    node.serialize() for node in atoms_of(term)
+                ]
+
+
+def atoms_of(term):
+    """The atoms of a term, left to right."""
+    if term.left is None:
+        return [term]
+    return atoms_of(term.left) + atoms_of(term.right)
+
+
+@pytest.mark.parametrize("name, functor", CORPUS, ids=[name for name, _ in CORPUS])
+def test_shaped_terms_match_image_words(name, functor):
+    for level in range(1, min(functor.source.dimension, functor.target.dimension) + 1):
+        morphism = morphism_from_functor(functor, level)
+
+        def image(atom):
+            if atom.kind == GENERATOR:
+                return morphism.phi[atom.name]
+            return morphism.base.apply(atom.name)
+
+        shapes = {}
+        sources = _shaped_terms(morphism.source, 3, shapes, image)
+        targets = _shaped_terms(morphism.target, 3, shapes, lambda atom: atom.name)
+        assert [t.serialize() for t, _ in sources] == [
+            t.serialize() for t in enumerate_terms(morphism.source, 3)[0]
+        ]
+        assert [t.serialize() for t, _ in targets] == [
+            t.serialize() for t in enumerate_terms(morphism.target, 3)[0]
+        ]
+        images = [(induced_word_map(morphism, t.word).tokens, shape) for t, shape in sources]
+        images += [(t.word.tokens, shape) for t, shape in targets]
+        ids = {}
+        for image, shape in images:
+            assert ids.setdefault(image, shape) == shape
+        assert len(set(ids.values())) == len(ids)
+
+
+def basis_cases():
+    """(name, category, level, sigma): every level of every fixture and
+    corpus category and of seeded free DAG categories, over all its cells
+    and over its indecomposables."""
+    categories = list(CATEGORIES)
+    for seed in range(20):
+        rng = Random(seed)
+        categories.append((f"dag-{seed}", random_dag_category(rng, 4, 5, 10).category))
+    out = []
+    for name, category in categories:
+        for level in range(1, category.dimension + 1):
+            cells = list(category.cells.get(level, []))
+            out.append((f"{name}-{level}-all", category, level, cells))
+            out.append((f"{name}-{level}-ind", category, level, sorted(indecomposables(category, level))))
+    return out
+
+
+BASIS_CASES = basis_cases()
+
+
+@pytest.mark.parametrize(
+    "category, level, sigma", [c[1:] for c in BASIS_CASES], ids=[c[0] for c in BASIS_CASES]
+)
+def test_record_filter_admits_what_reduced_admits(category, level, sigma):
+    extension = restriction_extension(category, level, sigma)
+    everything = len(enumerate_terms(extension, 3, admit=_reduced(extension))[0])
+    for max_count in (None, 2, 40, everything):
+        buckets, cut, _ = _basis_records(category, extension, 3, max_count)
+        terms, want_cut = enumerate_terms(extension, 3, max_count, admit=_reduced(extension))
+        want = {}
+        for term in terms:
+            want.setdefault(evaluate(category, sigma, term), []).append(term.serialize())
+        assert cut == want_cut
+        assert {v: [_term_of(r).serialize() for r in rs] for v, rs in buckets.items()} == want
 
 
 @pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])

@@ -1,10 +1,18 @@
 import pytest
 
-from polyconduche.categories import OmegaFunctor, globe, identity_functor
+from polyconduche import polygraphs
+from polyconduche.categories import (
+    OmegaFunctor,
+    PresentedCategory,
+    globe,
+    identity_functor,
+    validate_category,
+)
 from polyconduche.errors import NotSurjective
 from polyconduche.fixtures import (
     arrow_category,
     collapse_functor,
+    free_category_on_dag,
     idem_category,
     loop_category,
     parallel_pair_category,
@@ -135,3 +143,59 @@ def test_search_bounds_thread_through():
     # association is settled by the normal form, not the search budget
     verdict = check_basis(path2_category(), 1, ["f", "g"], bounds)
     assert verdict.verdict == BASIS
+
+
+@pytest.mark.parametrize(
+    "name, expected, rebuilt",
+    [("chain7", BASIS, 0), ("path2-all", NOT_BASIS, 2)],
+)
+def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
+    # Every preimage of a free chain's cell has the same atom sequence, and
+    # path2 with every 1-cell as a generator fails on generator multisets.
+    if name == "chain7":
+        edges = [(f"e{i}", f"p{i - 1}", f"p{i}") for i in range(1, 8)]
+        category = free_category_on_dag([f"p{i}" for i in range(8)], edges).category
+        sigma = list(category.basis[1])
+    else:
+        category = path2_category()
+        sigma = list(category.cells[1])
+    calls = {"equivalent": 0, "_term_of": 0}
+    for function in calls:
+        monkeypatch.setattr(polygraphs, function, counting(calls, function))
+    verdict = check_basis(category, 1, sigma)
+    assert verdict.verdict == expected
+    assert calls == {"equivalent": 0, "_term_of": rebuilt}
+
+
+def test_level_two_words_with_the_same_atoms_are_searched():
+    # One object, one arrow and the 2-cells e, a, b = a.a of a commutative
+    # monoid, composed alike at both levels. b's preimages (a*0a) and (a*1a)
+    # share their atoms; only an interchange search connects them.
+    product = {"e": "eab", "a": "abb", "b": "bbb"}
+    table = {(x, y): product[x]["eab".index(y)] for x in product for y in product}
+    category = PresentedCategory(
+        2,
+        {0: ["o"], 1: ["1"], 2: ["e", "a", "b"]},
+        {1: {"1": "o"}, 2: {"e": "1", "a": "1", "b": "1"}},
+        {1: {"1": "o"}, 2: {"e": "1", "a": "1", "b": "1"}},
+        {0: {"o": "1"}, 1: {"1": "e"}},
+        {(1, 0): {("1", "1"): "1"}, (2, 0): dict(table), (2, 1): dict(table)},
+    )
+    assert validate_category(category).ok
+    starved = BasisBounds(word_size=1, search=SearchBounds(max_steps=0))
+    assert check_basis(category, 2, ["a"], starved).to_json() == {
+        "verdict": UNKNOWN,
+        "unresolved": ["b"],
+    }
+    assert check_basis(category, 2, ["a"], BasisBounds(word_size=1)).verdict == BASIS
+
+
+def counting(calls, name):
+    """polygraphs' function `name`, counting its calls in calls[name]."""
+    function = getattr(polygraphs, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+
+    return counted
