@@ -7,8 +7,9 @@ The base revision is exported with `git archive`, and the work tree (tracked
 and untracked files that git does not ignore) is copied, each into a
 temporary directory. Pair i runs the unchanged `bench/run.py --trace 0` of
 both trees on one workload with seed `--first-seed + i`; even pairs run the
-base first, odd pairs the work tree. Each workload's header line names the
-base revision (with its commit) and the seed range, so that a run can be
+base first, odd pairs the work tree. The first line gives the `wc -l` total
+of `src/polyconduche/*.py` in each tree. Each workload's header line names
+the base revision (with its commit) and the seed range, so that a run can be
 repeated from its output. For every workload and end-to-end metric
 of BENCHMARK.json it prints the medians and quartiles of each side, their
 ratio, in how many pairs the work tree was better, and a verdict: gain,
@@ -49,6 +50,12 @@ def copy_work_tree(into: Path) -> None:
             target = into / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
+
+
+def count_lines(tree: Path) -> int:
+    """The total line count `wc -l src/polyconduche/*.py` gives in a tree:
+    its newline characters."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/polyconduche").glob("*.py"))
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -155,6 +162,9 @@ def main() -> None:
         base, change = Path(scratch, "base"), Path(scratch, "change")
         export_revision(args.base, base)
         copy_work_tree(change)
+        lines = count_lines(base), count_lines(change)
+        print(f"src/polyconduche/*.py: {lines[0]:,} lines at base {base_name}, "
+              f"{lines[1]:,} in the work tree ({lines[1] - lines[0]:+,})")
         for workload in workloads:
             runs = []
             for i, seed in enumerate(seeds):

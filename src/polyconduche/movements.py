@@ -33,7 +33,9 @@ from .terms import (
     Term,
     _atom,
     _composite,
+    _graft,
     _pair,
+    _path_to,
     _unit_atom,
     _unit_on,
     fold,
@@ -434,8 +436,13 @@ def _bidirectional_search(
             seen, other = visited[side], visited[1 - side]
             new_frontier: list[tuple[Word, ElementaryMovement]] = []
             for word, reached in sorted(frontiers[side], key=lambda e: (len(e[0]), serialize(e[0]))):
-                node = roots[side] if reached is None else _splice(reached.source, reached)
-                node._word = word  # the entry's word is the node's: keep, not rebuild
+                if reached is None:
+                    node = roots[side]
+                else:  # the entry's word is the node's: graft the tree, keep the word
+                    at = reached.prefix_len
+                    path = _path_to(reached.source, at, at + reached.redex.length)[1]
+                    node = _graft(path, reached.contractum)
+                    node._word = word
                 tokens = word.tokens
                 expansions[side] += 1
                 growing = node.size < size_cap

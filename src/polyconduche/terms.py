@@ -7,7 +7,10 @@ atoms "(i:x)" for top cells x of the base, and binary composition at levels
 computes boundaries as it goes and reports the leftmost failure. Terms keep
 that tree: composites are built from their factors, movements and
 substitutions copy only the path to the root, and evaluation folds the tree.
-Words are built from the tree on demand.
+A parsed term keeps the word it was parsed from, and a moved or substituted
+term inherits its word from its source: the source's tokens before and after
+the replaced span around the replacement's tokens. A term without a source
+word, such as a built or random one, builds its word from the tree when asked.
 
 What parsing reads of an extension is built once, on first use, and kept on
 the extension (see ParseTables): for each level k, the k-source and k-target
@@ -88,8 +91,9 @@ class Term:
     Terms are immutable and share their subterms, so a term is a node of a
     tree that other terms may contain too. For atoms, kind is "generator" or
     "identity" and name the generator or base cell; for composites, left,
-    level and right hold the factors. The word is built from the tree on
-    first use and then kept.
+    level and right hold the factors. A parsed term keeps its word and a
+    spliced one inherits it from its source (see splice); any other term
+    builds its word from the tree on first use and then keeps it.
     """
 
     __slots__ = (
@@ -328,10 +332,13 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
     composition symbol. So nesting depth is not bounded by the
     interpreter's recursion limit. Atom tokens and composition symbols are
     looked up in the extension's ParseTables; only a token that is not
-    there yet is checked against the extension.
+    there yet is checked against the extension. Each composite is closed
+    from the tables' boundary and composition maps; a cell they miss goes
+    through meets and _pair, which ask the base.
     """
     tables = _tables_of(extension)
     parsed, symbols = tables.parsed, tables.symbols
+    sources, targets, composites = tables.sources, tables.targets, tables.composites
     base = extension.base
     n = base.dimension
     tokens = word.tokens
@@ -372,13 +379,24 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
             if end >= count or tokens[end] is not RPAREN:
                 raise NotWellFormed(end, "ShapeError", "expected ')'")
             k = tokens[pos].value
-            if not meets(extension, left.src, k, node.tgt):
+            try:
                 if k == n:
-                    message = f"{left.src!r} != {node.tgt!r} at level {k}"
+                    meet, src, tgt = left.src == node.tgt, node.src, left.tgt
                 else:
-                    message = f"factors do not meet at level {k}"
-                raise NotWellFormed(pos, "BoundaryMismatch", message, level=k)
-            node = _pair(left, k, node)
+                    meet = sources[k][left.src] == targets[k][node.tgt]
+                    table = composites[k]
+                    src, tgt = table[(left.src, node.src)], table[(left.tgt, node.tgt)]
+            except KeyError:  # a cell the tables miss: the base decides, or raises
+                meet, src = meets(extension, left.src, k, node.tgt), None
+            if not meet:
+                raise NotWellFormed(pos, "BoundaryMismatch", _apart(left, k, node), level=k)
+            if src is None:
+                node = _pair(left, k, node)
+            else:
+                node = Term(
+                    extension, COMPOSITE, None, left, k, node, src, tgt,
+                    left.size + node.size + 1, left.length + node.length + 3,
+                )
             end += 1
         if not pending:
             if end != count:
@@ -424,8 +442,25 @@ def subterm_at(term: Term, start: int, end: int) -> Term:
 def splice(term: Term, start: int, end: int, replacement: Term) -> Term:
     """Put replacement in place of the subterm at a token span, copying only
     the composites above it. The caller guarantees equal boundaries, so
-    every copied composite keeps its own."""
-    path = _path_to(term, start, end)[1]
+    every copied composite keeps its own. When the term has its word, the
+    result inherits it: the term's tokens before start and from end on
+    around the replacement's tokens. Otherwise the result builds its word
+    from the tree when asked. At the root, the result is the replacement."""
+    return _spliced(term, start, end, _path_to(term, start, end)[1], replacement)
+
+
+def _spliced(term: Term, start: int, end: int, path: list, replacement: Term) -> Term:
+    """splice, given the path that _path_to found for the span."""
+    node = _graft(path, replacement)
+    word = term._word
+    if word is not None and path:
+        tokens = word.tokens
+        node._word = Word(tokens[:start] + replacement.word.tokens + tokens[end:])
+    return node
+
+
+def _graft(path: list, replacement: Term) -> Term:
+    """replacement under copies of the composites of a _path_to path."""
     node = replacement
     for parent, on_left in reversed(path):
         left, right = (node, parent.right) if on_left else (parent.left, node)
@@ -435,13 +470,13 @@ def splice(term: Term, start: int, end: int, replacement: Term) -> Term:
 
 def substitute(term: Term, start: int, end: int, replacement: Term) -> Term:
     """Replace the subterm at (start, end) by a term with the same boundaries."""
-    old = subterm_at(term, start, end)
+    old, path = _path_to(term, start, end)
     if (old.src, old.tgt) != (replacement.src, replacement.tgt):
         raise BoundaryMismatch(
             f"replacement boundaries ({replacement.src!r}, {replacement.tgt!r}) "
             f"differ from ({old.src!r}, {old.tgt!r})"
         )
-    return splice(term, start, end, replacement)
+    return _spliced(term, start, end, path, replacement)
 
 
 # -- evaluation into an ambient category ------------------------------------
@@ -501,10 +536,18 @@ def evaluate(category: PresentedCategory, sigma: list[str], term: Term) -> str:
 
 
 def generator_multiset(term: Term) -> dict[str, int]:
+    """How often each generator occurs in a term, counted over its tree's
+    atoms left to right: down each left spine, with the right factors passed
+    on an explicit stack."""
     counts: dict[str, int] = {}
-    for token in term.word.tokens:
-        if token.kind == GEN_KIND:
-            counts[token.value] = counts.get(token.value, 0) + 1
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        while node.left is not None:
+            todo.append(node.right)
+            node = node.left
+        if node.kind == GENERATOR:
+            counts[node.name] = counts.get(node.name, 0) + 1
     return counts
 
 
@@ -527,10 +570,15 @@ def compose_terms(left: Term, k: int, right: Term) -> Term:
     if not 0 <= k <= n:
         raise LevelError(f"composition level {k} out of range")
     if not meets(extension, left.src, k, right.tgt):
-        if k == n:
-            raise BoundaryMismatch(f"{left.src!r} != {right.tgt!r} at level {k}")
-        raise BoundaryMismatch(f"factors do not meet at level {k}")
+        raise BoundaryMismatch(_apart(left, k, right))
     return _pair(left, k, right)
+
+
+def _apart(left: Term, k: int, right: Term) -> str:
+    """Why two factors do not meet at level k."""
+    if k == left.extension.dimension:
+        return f"{left.src!r} != {right.tgt!r} at level {k}"
+    return f"factors do not meet at level {k}"
 
 
 def all_atoms(extension: CellularExtension) -> list[Term]:

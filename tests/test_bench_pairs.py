@@ -1,4 +1,5 @@
-"""The verdict rule of scripts/bench_pairs.py on made-up pairs."""
+"""The verdict rule of scripts/bench_pairs.py on made-up pairs, and its
+line count."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +48,14 @@ def test_a_wide_spread_is_unresolved_unless_every_run_is_better():
     # Every run better, by less than the base's interquartile range.
     above = [141, 142, 143, 144, 145, 150, 200, 250, 150, 145]
     assert judge(OPS, wide, above) == "flat"
+
+
+def test_line_count_is_the_wc_total_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "polyconduche"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("x = 1\n\n\ny = 2")  # wc -l: no newline, no line
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.count_lines(tmp_path) == 5

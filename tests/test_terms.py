@@ -2,8 +2,16 @@ from random import Random
 
 import pytest
 
+from polyconduche.conduche import full_extension
 from polyconduche.errors import BoundaryMismatch, NotWellFormed
-from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
+from polyconduche.fixtures import (
+    chain3_extension,
+    eh_extension,
+    idem_category,
+    parallel_pair_category,
+    path2_category,
+)
+from polyconduche.movements import apply_movement, enumerate_movements
 from polyconduche.terms import (
     GENERATOR,
     _pair,
@@ -17,7 +25,17 @@ from polyconduche.terms import (
     subterm_at,
     substitute,
 )
-from polyconduche.words import LPAREN, RPAREN, Word, comp, gen, ident_of, serialize, tokenize
+from polyconduche.words import (
+    GEN_KIND,
+    LPAREN,
+    RPAREN,
+    Word,
+    comp,
+    gen,
+    ident_of,
+    serialize,
+    tokenize,
+)
 
 
 def term(extension, text):
@@ -215,3 +233,51 @@ def test_check_term_does_not_keep_a_word_of_listed_tokens():
     parsed = check_term(ext, listed)
     assert parsed.word.tokens.__class__ is tuple
     assert parsed.word.tokens == tuple(listed.tokens)
+
+
+CRITERION5 = {
+    "eh": eh_extension,
+    "chain3": chain3_extension,
+    "path2/1": lambda: full_extension(path2_category(), 1),
+    "parallel_pair/2": lambda: full_extension(parallel_pair_category(), 2),
+    "idem/2": lambda: full_extension(idem_category(), 2),
+}
+
+
+def _token_multiset(tokens):
+    counts = {}
+    for token in tokens:
+        if token.kind == GEN_KIND:
+            counts[token.value] = counts.get(token.value, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("name", list(CRITERION5))
+def test_moved_terms_inherit_the_words_their_trees_spell(name):
+    ext = CRITERION5[name]()
+    rng = Random(list(CRITERION5).index(name))
+    places = set()
+    for _ in range(60):
+        source = check_term(ext, random_term(ext, rng, 6).word)
+        for movement in enumerate_movements(ext, source):
+            moved = apply_movement(source, movement)
+            reference = _reference_tokens(moved)
+            if movement.prefix_len:  # at the root, the result is the contractum
+                assert moved._word is not None
+            assert moved.word.tokens == reference
+            counts = generator_multiset(moved)
+            assert list(counts.items()) == list(_token_multiset(reference).items())
+            places.add(movement.prefix_len == 0)
+            # substitute inherits the word the same way
+            end = movement.prefix_len + movement.redex.length
+            substituted = substitute(source, movement.prefix_len, end, movement.contractum)
+            assert substituted.word == moved.word
+        # A term without a word gives moved terms without one.
+        fresh = random_term(ext, rng, 6)
+        for movement in enumerate_movements(ext, fresh):
+            moved = apply_movement(fresh, movement)
+            if movement.prefix_len:
+                assert moved._word is None
+            assert moved.word.tokens == _reference_tokens(moved)
+        assert fresh.left is None or fresh._word is None
+    assert places == {True, False}

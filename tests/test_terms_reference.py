@@ -4,9 +4,10 @@
 for every atom token and asked the base category for every boundary and
 composite. The parser must give the same term, or raise the same error at
 the same position with the same reason, level and message, on every input:
-all short token sequences, all composites of up to three atoms, and seeded
-one-token mutations of random words, over three checked extensions and one
-extension that was never checked.
+all short token sequences, all composites of up to three atoms, seeded
+random words, the words movements make of them, and one-token mutations of
+both, over three checked extensions and one extension that was never
+checked.
 """
 
 from itertools import product
@@ -23,6 +24,7 @@ from polyconduche.fixtures import (
     parallel_pair_category,
     terminal_category,
 )
+from polyconduche.movements import apply_movement, enumerate_movements
 from polyconduche.terms import (
     COMPOSITE,
     GENERATOR,
@@ -243,3 +245,27 @@ def test_mutated_random_words_match_the_reference():
     assert len(outcomes) > 3000
     assert {"term", "NotWellFormed", "SchemaError"} <= set(outcomes)
 
+
+
+def test_moved_words_match_the_reference():
+    """The words of moved terms, spliced from their sources' words, and their
+    one-token mutations: what the criterion-5 sweep re-parses."""
+    rng = Random(12)
+    extensions = _extensions()
+    outcomes = []
+    for name in ("eh", "chain3", "parallel_pair/2"):
+        extension = extensions[name]
+        moved = []
+        for _ in range(20):
+            source = check_term(extension, random_term(extension, rng, 6).word)
+            for movement in enumerate_movements(extension, source):
+                moved.append(apply_movement(source, movement).word)
+        moved = rng.sample(moved, min(len(moved), 500))
+        targets = [extension] + ([UNCHECKED] if name == "eh" else [])
+        for target in targets:
+            for word in moved:
+                outcomes.append(_same(target, word))
+            for mutated in _mutations(extension, rng, moved):
+                outcomes.append(_same(target, mutated))
+    assert len(outcomes) > 3000
+    assert {"term", "NotWellFormed", "SchemaError"} <= set(outcomes)
