@@ -10,6 +10,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -364,7 +365,12 @@ def cmd_movements(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    the rest of the process: parsing does not change it, each parse fills a
+    fresh namespace, and help reads the terminal width when it is printed.
+    main runs the function named cmd_<command>."""
     parser = _Parser(
         prog="polyconduche",
         description="Finite strict higher categories: movements, lifting "
@@ -379,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
         "equiv",
@@ -391,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word2")
     _add_search_flags(p)
     p.add_argument("--witness-out", default=None, help="write the witness here")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser(
         "conduche",
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, help="fiber representative word")
     _add_search_flags(p)
     # None: cmd_conduche refuses a flag it would ignore, and sets the default.
-    p.set_defaults(func=cmd_conduche, size_slack=None, max_steps=None)
+    p.set_defaults(size_slack=None, max_steps=None)
 
     p = sub.add_parser(
         "basis",
@@ -436,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration cap before answering Unknown",
     )
     _add_search_flags(p)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser(
         "transfer",
@@ -444,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("functor")
-    p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser(
         "slice",
@@ -456,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--projection-out", default=None, help="write the projection functor here"
     )
-    p.set_defaults(func=cmd_slice)
 
     p = sub.add_parser(
         "pullback",
@@ -466,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--out", default=None, help="write the result here")
-    p.set_defaults(func=cmd_pullback)
 
     p = sub.add_parser(
         "movements",
@@ -482,17 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="which movement directions to list",
     )
     p.add_argument("--dot", action="store_true", help="emit a DOT graph")
-    p.set_defaults(func=cmd_movements)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.loaded = {}  # see _load
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except PolyconducheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -228,4 +228,8 @@ def dump_json(doc: dict) -> str:
 
 
 def save_document(path, doc: dict) -> None:
-    Path(path).write_text(dump_json(doc))
+    """Write a document; SchemaError when the path cannot be written."""
+    try:
+        Path(path).write_text(dump_json(doc))
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write ({exc})") from None

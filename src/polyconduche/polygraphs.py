@@ -183,9 +183,11 @@ def check_basis(
     bounds = bounds or BasisBounds()
     if not 1 <= level <= category.dimension:
         raise SchemaError(f"level {level} out of range")
-    for cell in sigma:
+    for i, cell in enumerate(sigma):
         if category.level_of(cell) != level:
             raise SchemaError(f"{cell!r} is not a level-{level} cell")
+        if cell in sigma[:i]:
+            raise SchemaError(f"repeated cell {cell!r}")
 
     reachable = _reachable_values(category, level, sigma)
     cells = category.cells.get(level, [])

@@ -285,6 +285,23 @@ def test_basis_rejects_a_redundant_set(capsys):
     assert json.loads(out)["witness"]["kind"] == "DisconnectedPair"
 
 
+@pytest.mark.parametrize("cells", ["f,g,f", "f,f"])
+def test_basis_refuses_a_repeated_cell(capsys, cells):
+    code = main(["basis", PATH2, "--dim", "1", "--set", cells])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: repeated cell 'f'\n"
+
+
+def test_basis_accepts_the_empty_set(capsys):
+    code, out = run_cli(["basis", PATH2, "--dim", "1", "--set", ""], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["set"] == []
+    assert report["witness"] == {"kind": "MissingPreimage", "cell": "f"}
+
+
 def test_basis_without_any_candidate_reports_the_gap(capsys):
     code, out = run_cli(["basis", LOOP, "--dim", "1"], capsys)
     assert code == 1
@@ -358,6 +375,25 @@ def test_pullback_squares_the_collapse(capsys, tmp_path):
     assert doc["apex"]["cells"]["0"] == ["x|x", "x|y", "y|x", "y|y"]
     assert doc["proj1"]["map"]["1"]["u|u"] == "u"
     assert json.loads(target.read_text()) == doc
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["pullback", COLLAPSE, COLLAPSE], "--out"),
+        (["slice", PATH2, "z"], "--projection-out"),
+        (["equiv", EH, BRAID_LEFT, BRAID_RIGHT], "--witness-out"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_paths_are_usage_errors(capsys, tmp_path, command, flag, where):
+    target = tmp_path / "no_such_dir" / "out.json" if where == "missing directory" else tmp_path
+    code = main([*command, flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {target}: cannot write (")
+    assert "Traceback" not in captured.err
 
 
 def test_movements_lists_the_braiding_neighbourhood(capsys):
@@ -745,3 +781,57 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("\ninternal error: RuntimeError: boom\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for argv in (["validate", PATH2], ["transfer", COLLAPSE], ["basis", PATH2, "--dim", "1"]):
+        assert run_cli(argv, capsys)[0] == 0
+    # One top-level parser and one per command, all from the first call.
+    assert len(built) == 9
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_state_leaks_between_calls(capsys, monkeypatch):
+    plain = ["conduche", COLLAPSE]
+    alone = run_cli(plain, capsys)
+    assert run_cli([*plain, "--size-bound", "9"], capsys) == (3, "")
+    assert run_cli(plain, capsys) == alone
+
+    code, _ = run_cli(["basis", PATH2, "--dim", "1", "--set", "f"], capsys)
+    assert code == 1
+    code, out = run_cli(["basis", PATH2, "--dim", "1"], capsys)
+    assert (code, json.loads(out)["set"]) == (0, ["f", "g"])
+    code, out = run_cli(["basis", LOOP, "--dim", "1"], capsys)
+    assert json.loads(out)["set"] == []
+
+    for cap in (50, 70):
+        monkeypatch.setenv("POLYCONDUCHE_MAX_VISITED", str(cap))
+        _, out = run_cli(["equiv", EH, BRAID_LEFT, BRAID_RIGHT], capsys)
+        assert json.loads(out)["bounds"]["max_visited"] == cap
+
+
+COMMANDS = ["validate", "equiv", "conduche", "basis", "transfer", "slice", "pullback", "movements"]
+
+
+def test_help_matches_a_fresh_parser_at_each_width(capsys, monkeypatch):
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = cli.build_parser.__wrapped__()
+        commands = next(action for action in fresh._actions if action.dest == "command")
+        for command in [None, *COMMANDS]:
+            argv = [command, "--help"] if command else ["--help"]
+            code, out = run_cli(argv, capsys)
+            expected = (commands.choices[command] if command else fresh).format_help()
+            assert (code, out) == (0, expected), (columns, command)
+            helps[columns, command] = out
+    assert helps["60", None] != helps["120", None]

@@ -7,6 +7,11 @@ original's place in a copy of fixtures/, and every command that applies to
 it, or to a document that references it, runs in-process. Whatever the
 document, the exit code is 0 to 3, exit 1 comes only with a JSON Fail,
 distinct or NotBasis verdict, and exit 4 (an internal error) never happens.
+
+The same contract holds under one-token mutations of the command line: each
+criterion-9 command, with a token dropped, a flag repeated, a value replaced
+by a number, a word, an empty string, a directory or a missing path, or an
+unknown flag inserted, exits 0 to 3 without a traceback.
 """
 
 import contextlib
@@ -163,3 +168,64 @@ def test_mutated_documents_keep_the_exit_code_contract(workdir, mutant):
             path.rmdir()
         else:
             path.unlink()
+
+
+def _criterion_9_commands(out: Path) -> list[list[str]]:
+    """The commands of acceptance criterion 9 on the shipped documents, as
+    argv, with every output written under `out`."""
+    left, right = WORDS["eh.ext.json"]
+    fixture = {name: str(FIXTURES / name) for name in DOCS}
+    return [
+        ["validate", fixture["path2.cat.json"]],
+        ["equiv", fixture["eh.ext.json"], left, right, "--max-steps", "6", "--size-slack", "1",
+         "--witness-out", str(out / "witness.json")],
+        ["conduche", fixture["collapse.fun.json"]],
+        ["conduche", fixture["eh.fun.json"], "--mode", "fiber", "--at", left, "--size-bound", "1"],
+        ["basis", fixture["path2.cat.json"], "--dim", "1"],
+        ["transfer", fixture["slice_path2_z.fun.json"]],
+        ["slice", fixture["path2.cat.json"], "z", "--projection-out", str(out / "projection.json")],
+        ["pullback", fixture["collapse.fun.json"], fixture["collapse.fun.json"],
+         "--out", str(out / "pullback.json")],
+        ["movements", fixture["eh.ext.json"], left, "--dot"],
+    ]
+
+
+@st.composite
+def argv_mutants(draw, out: Path):
+    """A criterion-9 command with one token dropped, one flag repeated with
+    its value, one value replaced or one unknown flag inserted."""
+    argv = draw(st.sampled_from(_criterion_9_commands(out)))
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    values = [i for i in range(1, len(argv)) if i not in flags]
+    mutation = draw(st.sampled_from(["drop", "replace", "unknown"] + ["repeat"] * bool(flags)))
+    if mutation == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif mutation == "repeat":
+        i = draw(st.sampled_from(flags))
+        argv += argv[i : i + (1 if argv[i] == "--dot" else 2)]
+    elif mutation == "replace":
+        replacement = ["-1", "0", "x", "", str(out / "directory"), str(out / "no_such_dir" / "x.json")]
+        argv[draw(st.sampled_from(values))] = draw(st.sampled_from(replacement))
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--bogus=1", "-z"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def outdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("out")
+    (root / "directory").mkdir()
+    return root
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_argv_keeps_the_exit_code_contract(outdir, data):
+    argv = data.draw(argv_mutants(outdir))
+    # A replaced output path is relative: it lands in outdir too.
+    with contextlib.chdir(outdir):
+        code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        assert json.loads(out)["verdict"] in VERDICTS_OF_EXIT_1, (argv, out)

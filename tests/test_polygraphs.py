@@ -8,7 +8,7 @@ from polyconduche.categories import (
     identity_functor,
     validate_category,
 )
-from polyconduche.errors import NotSurjective
+from polyconduche.errors import NotSurjective, SchemaError
 from polyconduche.fixtures import (
     arrow_category,
     collapse_functor,
@@ -73,6 +73,14 @@ def test_redundant_generator_disconnects_a_fiber():
     assert verdict.witness["kind"] == "DisconnectedPair"
     assert verdict.witness["cell"] == "gf"
     assert set(verdict.witness["pair"]) == {"(c:gf)", "((c:g)*0(c:f))"}
+
+
+@pytest.mark.parametrize("sigma", [["f", "g", "f"], ["f", "f"]])
+def test_a_repeated_cell_is_refused(sigma):
+    # The restricted extension keys generators by name, so a repeat would
+    # vanish from the verdict while the caller's set still shows it.
+    with pytest.raises(SchemaError, match="repeated cell 'f'"):
+        check_basis(path2_category(), 1, sigma)
 
 
 def test_non_free_composition_disconnects():
