@@ -348,9 +348,11 @@ def _check_schema(c: PresentedCategory) -> None:
             c.level_of(res)
     if c.basis:
         for level, cells in c.basis.items():
-            for cell in cells:
+            for i, cell in enumerate(cells):
                 if c.level_of(cell) != level:
                     raise SchemaError(f"declared basis cell {cell!r} is not at level {level}")
+                if cell in cells[:i]:
+                    raise SchemaError(f"declared basis repeats cell {cell!r}")
 
 
 # -- canonical shapes -------------------------------------------------------

@@ -79,7 +79,11 @@ _VERDICT_EXIT = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
-    Unknown, so usage errors exit 3 instead."""
+    Unknown, so usage errors exit 3 instead. Help shows flag defaults, in
+    the command parsers too: add_subparsers makes them _Parsers."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -375,33 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polyconduche",
         description="Finite strict higher categories: movements, lifting "
         "checks, bases, slices, and pullbacks.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "validate",
-        help="schema and axiom check for a document",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("validate", help="schema and axiom check for a document")
     p.add_argument("path")
 
-    p = sub.add_parser(
-        "equiv",
-        help="bounded equivalence of two words over an extension",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("equiv", help="bounded equivalence of two words over an extension")
     p.add_argument("extension")
     p.add_argument("word1")
     p.add_argument("word2")
     _add_search_flags(p)
     p.add_argument("--witness-out", default=None, help="write the witness here")
 
-    p = sub.add_parser(
-        "conduche",
-        help="lifting check for a functor document",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("conduche", help="lifting check for a functor document")
     p.add_argument("functor")
     p.add_argument(
         "--mode",
@@ -416,11 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None: cmd_conduche refuses a flag it would ignore, and sets the default.
     p.set_defaults(size_slack=None, max_steps=None)
 
-    p = sub.add_parser(
-        "basis",
-        help="is a cell set a basis at one level",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("basis", help="is a cell set a basis at one level")
     p.add_argument("category")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument(
@@ -441,38 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_search_flags(p)
 
-    p = sub.add_parser(
-        "transfer",
-        help="pull the target basis back along a functor",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("transfer", help="pull the target basis back along a functor")
     p.add_argument("functor")
 
-    p = sub.add_parser(
-        "slice",
-        help="slice a dimension-1 category at an object",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("slice", help="slice a dimension-1 category at an object")
     p.add_argument("category")
     p.add_argument("object")
     p.add_argument(
         "--projection-out", default=None, help="write the projection functor here"
     )
 
-    p = sub.add_parser(
-        "pullback",
-        help="pullback of two functors with a common target",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("pullback", help="pullback of two functors with a common target")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--out", default=None, help="write the result here")
 
-    p = sub.add_parser(
-        "movements",
-        help="one-step movements of a word",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = sub.add_parser("movements", help="one-step movements of a word")
     p.add_argument("extension")
     p.add_argument("word")
     p.add_argument(

@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .categories import OmegaFunctor, PresentedCategory, truncate
-from .errors import NotLiftable, NotWellFormed, SchemaError
+from .errors import BadOccurrence, NotLiftable, NotWellFormed, SchemaError
 from .movements import (
+    BACKWARD,
     DISTINCT,
+    FORWARD,
     ElementaryMovement,
     SearchBounds,
     WITNESS,
+    _rewrites,
     apply_movement,
-    enumerate_movements,
     equivalent,
 )
 from .terms import (
@@ -34,6 +36,7 @@ from .terms import (
     all_atoms,
     check_term,
     restriction_extension,
+    subterm_at,
 )
 from .words import (
     GEN_KIND,
@@ -413,24 +416,26 @@ def lift_movement(
 ) -> tuple[ElementaryMovement, Term]:
     """Lift a downstairs movement along the morphism at a given preimage.
 
-    The lift is the first movement of the lifted input, in enumeration
-    order, at the same occurrence and of the same case and direction whose
-    contractum maps onto the downstairs contractum; the induced word map
-    preserves token structure, so the occurrence sits at the same token
-    span. NotLiftable when no movement upstairs maps onto this one.
+    The induced word map preserves token structure, so the lift sits at the
+    same token span: of the rewrites of the movement's case and direction
+    rooted there, built alone, the first whose contractum maps onto the
+    downstairs one. NotLiftable when no subterm or no rewrite there fits.
     """
     if induced_word_map(morphism, lifted_input.word).tokens != movement.source.word.tokens:
         raise SchemaError("the lifted input does not map onto the movement's input")
+    start, case, direction = movement.prefix_len, movement.case, movement.direction
+    try:
+        redex = subterm_at(lifted_input, start, start + movement.redex.length)
+    except BadOccurrence:
+        raise NotLiftable(f"case {case}: no subterm upstairs at the occurrence") from None
+    forward = (case,) if direction == FORWARD else ()
+    backward = (case,) if direction == BACKWARD else ()
     want = movement.contractum.word.tokens
-    for lifted in enumerate_movements(morphism.source, lifted_input, movement.direction):
-        if (
-            lifted.prefix_len == movement.prefix_len
-            and lifted.redex.length == movement.redex.length
-            and lifted.case == movement.case
-            and induced_word_map(morphism, lifted.contractum.word).tokens == want
-        ):
+    for _, contractum, _ in _rewrites(morphism.source, redex, forward, backward):
+        if induced_word_map(morphism, contractum.word).tokens == want:
+            lifted = ElementaryMovement(lifted_input, start, redex, contractum, case, direction)
             return lifted, apply_movement(lifted_input, lifted)
-    raise NotLiftable(f"case {movement.case}: no movement upstairs maps onto this one")
+    raise NotLiftable(f"case {case}: no movement upstairs maps onto this one")
 
 
 def is_rigid(

@@ -169,48 +169,35 @@ def enumerate_movements(
     extension: CellularExtension,
     term: Term,
     direction: str = "both",
-    size_cap: int | None = None,
     cases=ALL_CASES,
 ) -> list[ElementaryMovement]:
     """All movements of the given cases rooted at some subterm occurrence,
     in deterministic (case, position, direction, level) order.
 
     Backward movements include unit insertion at every occurrence and every
-    identity split the base composition tables support. These are the only
-    movements that make a term larger, each by one, so none is built when a
-    size_cap is given and the term's size has reached it; the listing is
-    otherwise the same, in the same order. The occurrences come in token
-    order and each node's rewrites (see _fixed_rewrites and
-    _growing_rewrites) are filed under their case, which gives that order
-    without sorting.
+    identity split the base composition tables support. The occurrences
+    come in token order, and each node's rewrites are listed by the one
+    _rewrites that also serves the search and movement lifting; filing them
+    under their case gives that order without sorting.
     """
     forward = cases if direction in ("both", FORWARD) else ()
     backward = cases if direction in ("both", BACKWARD) else ()
-    growing = backward and (size_cap is None or term.size < size_cap)
     assoc, left_unit, right_unit, merge, interchange = by_case = ([], [], [], [], [])
     for node, start in occurrences(term):
-        if node.left is not None:
-            for case, contractum, sense in _fixed_rewrites(extension, node, forward, backward):
-                by_case[case - 1].append(
-                    ElementaryMovement(term, start, node, contractum, case, sense)
-                )
-        if growing:
-            inserted_left, inserted_right, splits = _growing_rewrites(extension, node, backward)
-            for contractum in inserted_left:
-                left_unit.append(ElementaryMovement(term, start, node, contractum, 2, BACKWARD))
-            for contractum in inserted_right:
-                right_unit.append(ElementaryMovement(term, start, node, contractum, 3, BACKWARD))
-            for contractum in splits:
-                merge.append(ElementaryMovement(term, start, node, contractum, 4, BACKWARD))
+        for case, contractum, sense in _rewrites(extension, node, forward, backward):
+            by_case[case - 1].append(ElementaryMovement(term, start, node, contractum, case, sense))
     return assoc + left_unit + right_unit + merge + interchange
 
 
-def _fixed_rewrites(
+def _rewrites(
     extension: CellularExtension, node: Term, forward, backward
 ) -> list[tuple[int, Term, str]]:
-    """The rewrites rooted at a composite that do not make it larger, as
-    (case, contractum, direction), forward ones first, each direction in case
-    order. forward and backward hold the cases wanted in each direction.
+    """The rewrites rooted at a node, as (case, contractum, direction):
+    the forward ones in case order, backward case 1 and then case 5, a left
+    (case 2) and a right (case 3) unit insertion at each level, and the
+    identity splits (case 4). forward and backward hold the cases wanted in
+    each direction. Only backward cases 2, 3 and 4 make the node larger,
+    each by one.
 
     Contracta are built from the node's subterms, never parsed: the
     globularity and distribution axioms make every shape except backward
@@ -219,11 +206,12 @@ def _fixed_rewrites(
     """
     n = extension.dimension
     left, k, right = node.left, node.level, node.right
+    src, tgt = node.src, node.tgt
     out = []
-    if forward:
+    if left is not None and forward:
         if left.level == k and 1 in forward:
             inner = _pair(left.right, k, right)
-            out.append((1, _composite(left.left, k, inner, node.src, node.tgt), FORWARD))
+            out.append((1, _composite(left.left, k, inner, src, tgt), FORWARD))
         if left.kind == IDENTITY and 2 in forward:
             if left.name == _unit_on(extension, right.tgt, k, TGT):
                 out.append((2, right, FORWARD))
@@ -236,53 +224,31 @@ def _fixed_rewrites(
                     merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
                     out.append((4, merged, FORWARD))
         if left.level is not None and left.level == right.level and k < left.level and 5 in forward:
-            contractum = _composite(
-                _pair(left.left, k, right.left),
-                left.level,
-                _pair(left.right, k, right.right),
-                node.src,
-                node.tgt,
-            )
-            out.append((5, contractum, FORWARD))
-    if backward:
+            first, second = _pair(left.left, k, right.left), _pair(left.right, k, right.right)
+            out.append((5, _composite(first, left.level, second, src, tgt), FORWARD))
+    if left is not None and backward:
         if right.level == k and 1 in backward:
             inner = _pair(left, k, right.left)
-            out.append((1, _composite(inner, k, right.right, node.src, node.tgt), BACKWARD))
+            out.append((1, _composite(inner, k, right.right, src, tgt), BACKWARD))
         if left.level is not None and left.level == right.level and left.level < k and 5 in backward:
             p, q, r, s = left.left, left.right, right.left, right.right
             if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
-                contractum = _composite(
-                    _pair(p, k, r), left.level, _pair(q, k, s), node.src, node.tgt
-                )
-                out.append((5, contractum, BACKWARD))
-    return out
-
-
-def _growing_rewrites(
-    extension: CellularExtension, node: Term, cases
-) -> tuple[list[Term], list[Term], list[Term]]:
-    """The contracta of the backward rewrites rooted at a node that make it
-    larger by one, for cases 2, 3 and 4: unit insertion on the left and on
-    the right at each level, and the identity splits the base composition
-    tables support."""
-    left_units, right_units, splits = [], [], []
-    src, tgt = node.src, node.tgt
-    if 2 in cases or 3 in cases:
-        for level in range(extension.dimension + 1):
-            if 2 in cases:
+                first, second = _pair(p, k, r), _pair(q, k, s)
+                out.append((5, _composite(first, left.level, second, src, tgt), BACKWARD))
+    if 2 in backward or 3 in backward:
+        for level in range(n + 1):
+            if 2 in backward:
                 inserted = _unit_atom(extension, tgt, level, TGT)
-                left_units.append(_composite(inserted, level, node, src, tgt))
-            if 3 in cases:
+                out.append((2, _composite(inserted, level, node, src, tgt), BACKWARD))
+            if 3 in backward:
                 inserted = _unit_atom(extension, src, level, SRC)
-                right_units.append(_composite(node, level, inserted, src, tgt))
-    if node.kind == IDENTITY and 4 in cases:
-        n = extension.dimension
+                out.append((3, _composite(node, level, inserted, src, tgt), BACKWARD))
+    if node.kind == IDENTITY and 4 in backward:
         for level in range(n):
             for (c, d) in extension.base.factorizations(node.name, n, level):
-                c_atom = _atom(extension, IDENTITY, c)
-                d_atom = _atom(extension, IDENTITY, d)
-                splits.append(_composite(c_atom, level, d_atom, src, tgt))
-    return left_units, right_units, splits
+                c_atom, d_atom = _atom(extension, IDENTITY, c), _atom(extension, IDENTITY, d)
+                out.append((4, _composite(c_atom, level, d_atom, src, tgt), BACKWARD))
+    return out
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
@@ -408,8 +374,8 @@ def _bidirectional_search(
     if goal.word.tokens in visited[0]:
         return []
     total_visited = 2
-    # Subterm tokens -> [its fixed rewrites by case, its fixed and growing
-    # rewrites by case (None until needed)], see _memo_fixed and _memo_grown.
+    # Subterm tokens -> [its rewrites that do not grow it, all its rewrites],
+    # each filed by case (see _filed) and None until needed.
     memo: dict[tuple, list] = {}
     expansions = [0, 0]
     candidates = records = 0
@@ -456,13 +422,10 @@ def _bidirectional_search(
                         sub._word = Word(key)
                     entry = memo.get(key)
                     if entry is None:
-                        entry = memo[key] = [_memo_fixed(extension, sub), None]
-                    if not growing:
-                        by_case = entry[0]
-                    elif entry[1] is None:
-                        by_case = entry[1] = _memo_grown(extension, sub, entry[0])
-                    else:
-                        by_case = entry[1]
+                        entry = memo[key] = [None, None]
+                    by_case = entry[growing]
+                    if by_case is None:
+                        by_case = entry[growing] = _filed(extension, sub, growing)
                     if by_case is not _NO_REWRITES:
                         sites.append((sub, at, tokens[:at], tokens[end:], by_case))
                 sites.reverse()
@@ -498,25 +461,17 @@ def _bidirectional_search(
 _NO_REWRITES: tuple = ((),) * 5
 
 
-def _memo_fixed(extension: CellularExtension, sub: Term) -> tuple:
-    """A subterm's rewrites that do not grow it, as (contractum, contractum
-    tokens, direction) triples, one tuple per case."""
-    if sub.left is None:
+def _filed(extension: CellularExtension, sub: Term, growing: bool) -> tuple:
+    """A subterm's rewrites as (contractum, contractum tokens, direction)
+    triples, one tuple per case in _rewrites order; the growing ones (the
+    backward cases 2, 3 and 4) only when asked for."""
+    rewrites = _rewrites(extension, sub, ALL_CASES, ALL_CASES if growing else (1, 5))
+    if not rewrites:
         return _NO_REWRITES
     by_case: tuple[list, ...] = ([], [], [], [], [])
-    for case, contractum, direction in _fixed_rewrites(extension, sub, ALL_CASES, ALL_CASES):
+    for case, contractum, direction in rewrites:
         by_case[case - 1].append((contractum, contractum.word.tokens, direction))
-    return tuple(map(tuple, by_case)) if any(by_case) else _NO_REWRITES
-
-
-def _memo_grown(extension: CellularExtension, sub: Term, fixed: tuple) -> tuple:
-    """A subterm's rewrites by case, each case's growing ones after its
-    fixed ones, as enumerate_movements lists them."""
-    growing = [
-        tuple((contractum, contractum.word.tokens, BACKWARD) for contractum in contracta)
-        for contracta in _growing_rewrites(extension, sub, ALL_CASES)
-    ]
-    return (fixed[0], *(f + g for f, g in zip(fixed[1:4], growing)), fixed[4])
+    return tuple(map(tuple, by_case))
 
 
 def extend_functor(

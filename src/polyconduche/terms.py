@@ -719,8 +719,9 @@ def _term_of(record: tuple) -> Term:
 def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Term:
     """Grow a random term bottom-up; composability holds by construction.
 
-    Levels and factors are drawn uniformly; when no pool partner fits, an
-    identity atom on the needed boundary always does.
+    Levels and factors are drawn uniformly. Some partner always fits: the
+    pool holds an identity atom on every top cell, and on a valid extension
+    the one on the k-unit of left's k-source meets left at level k.
     """
     n = extension.dimension
     top_cells = extension.base.cells[n]
@@ -734,11 +735,7 @@ def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Ter
         k = rng.randint(0, n)
         # Every target is a top cell: test each once, not each candidate.
         fits = {tgt: meets(extension, left.src, k, tgt) for tgt in top_cells}
-        partners = [t for t in pool + [current] if fits[t.tgt]]
-        if partners:
-            right = rng.choice(partners)
-        else:
-            right = _unit_atom(extension, left.src, k, SRC)
+        right = rng.choice([t for t in pool + [current] if fits[t.tgt]])
         if left.size + right.size + 1 > max_size:
             break
         current = _pair(left, k, right)

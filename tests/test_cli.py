@@ -294,6 +294,24 @@ def test_basis_refuses_a_repeated_cell(capsys, cells):
     assert captured.err == "error: repeated cell 'f'\n"
 
 
+def test_a_repeated_declared_basis_cell_fails_validation(capsys, tmp_path):
+    doc = json.loads(Path(PATH2).read_text())
+    doc["basis"]["1"] = ["f", "g", "f"]
+    path = tmp_path / "path2.cat.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "SchemaError",
+        "message": "declared basis repeats cell 'f'",
+    }
+    code = main(["basis", str(path), "--dim", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: declared basis repeats cell 'f'\n"
+
+
 def test_basis_accepts_the_empty_set(capsys):
     code, out = run_cli(["basis", PATH2, "--dim", "1", "--set", ""], capsys)
     assert code == 1

@@ -4,6 +4,7 @@ from polyconduche.categories import OmegaFunctor, identity_functor
 from polyconduche.conduche import (
     FAIL,
     PASS,
+    UNKNOWN,
     ExtensionMorphism,
     FiberQuery,
     check_conduche,
@@ -26,6 +27,7 @@ from polyconduche.fixtures import (
     arrow_category,
     collapse_functor,
     eh_morphism,
+    functor_corpus,
     inflate_functor,
     loop_category,
     parallel_pair_category,
@@ -33,8 +35,14 @@ from polyconduche.fixtures import (
     path2_category,
     terminal_category,
 )
-from polyconduche.movements import BACKWARD, FORWARD, apply_movement, enumerate_movements
-from polyconduche.terms import all_atoms, check_term, compose_terms
+from polyconduche.movements import (
+    BACKWARD,
+    FORWARD,
+    SearchBounds,
+    apply_movement,
+    enumerate_movements,
+)
+from polyconduche.terms import GENERATOR, all_atoms, atom_word, check_term, compose_terms, pair_word
 from polyconduche.words import serialize, tokenize
 
 
@@ -164,6 +172,34 @@ def test_fiber_bijection_requires_exact_preimage():
             m,
             FiberQuery(term(m.source, "(c:gf)"), ["gf"], sorted(m.target.generators), 1),
         )
+
+
+@pytest.mark.parametrize(
+    "functor,representative,expected",
+    [
+        (
+            lambda: inflate_functor(dict(functor_corpus())["collapse-loop"], 2),
+            atom_word(GENERATOR, "1(u)"),
+            (FAIL, {"kind": "surjectivity", "unhit": "((c:1(s))*1((i:s)*0(i:s)))"}),
+        ),
+        (
+            lambda: dict(functor_corpus())["inflated-0"],
+            pair_word(atom_word(GENERATOR, "1(id_o0)"), 0, atom_word(GENERATOR, "1(id_o0)")),
+            (UNKNOWN, None),
+        ),
+    ],
+    ids=["surjectivity", "unknown"],
+)
+def test_fiber_bijection_outcomes(functor, representative, expected):
+    # sigma_c is the exact preimage of every target generator; the tight
+    # bounds leave the second query's memberships Unknown.
+    m = morphism_from_functor(functor(), 2)
+    sigma_d = sorted(m.target.generators)
+    sigma_c = sorted(g for g in m.source.generators if m.phi.get(g) in sigma_d)
+    query = FiberQuery(check_term(m.source, representative), sigma_c, sigma_d, 2)
+    bounds = SearchBounds(size_slack=0, max_steps=2, max_visited=30)
+    report = check_fiber_bijection(m, query, bounds)
+    assert (report.verdict, report.witness) == expected
 
 
 def test_rigidity():

@@ -180,26 +180,16 @@ def _listing(moves):
 
 
 def test_enumeration_matches_the_reference(small_terms):
-    # In the reference each direction, and the growing movements, are built
-    # under their own test, so its listing for a direction and a size cap is
-    # its full listing less the other direction and the movements that would
-    # pass the cap.
+    # In the reference each direction is built under its own test, so its
+    # listing for a direction is its full listing less the other direction.
     total = 0
     for ext, t in small_terms:
         reference = _reference_movements(ext, t)
         total += len(reference)
         full = _listing(reference)
-        sizes = [t.size - m.redex.size + m.contractum.size for m in reference]
         for direction in ("both", FORWARD, BACKWARD):
-            caps = (None, t.size, t.size + 1) if direction == "both" else (None, t.size)
-            for cap in caps:
-                expected = [
-                    entry
-                    for entry, size in zip(full, sizes)
-                    if direction in ("both", entry[1]) and (cap is None or size <= cap)
-                ]
-                assert _listing(enumerate_movements(ext, t, direction, cap)) == expected
-    # As many movements as before size_cap existed.
+            expected = [entry for entry in full if direction in ("both", entry[1])]
+            assert _listing(enumerate_movements(ext, t, direction)) == expected
     assert total == 751_678
 
 
