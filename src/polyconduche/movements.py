@@ -36,6 +36,7 @@ from .terms import (
     _graft,
     _pair,
     _path_to,
+    _tokens,
     _unit_atom,
     _unit_on,
     fold,
@@ -128,8 +129,10 @@ class SearchStats:
 
     expansions: tuple[int, int] = (0, 0)  # nodes expanded from start, from goal
     candidates: int = 0  # child words probed against the visited sets
-    records: int = 0  # movement records built: one per newly visited word
+    records: int = 0  # visited records made: one per newly visited word
     memo_misses: int = 0  # distinct subterm words whose rewrites were computed
+    depths: tuple[int, int] = (0, 0)  # levels expanded from start, from goal
+    largest_frontier: int = 0  # most words in one frontier when it was expanded
 
 
 @dataclass
@@ -355,22 +358,25 @@ def _bidirectional_search(
     level, smaller side first, nodes in (word length, serialization) order,
     children in enumerate_movements order; the first meeting point under
     that ordering is the witness, which makes repeated queries byte-stable.
-    Each visited set maps a word's tokens to the movement that first reached
-    it (None at the root), whose source is the parent. Returns the step list
-    or an Unknown reason, and fills in stats.
+    Returns the step list or an Unknown reason, and fills in stats.
+
+    Each visited set maps a word's tokens to a plain record of the step that
+    first reached it, (source node, prefix_len, redex, contractum, case,
+    direction), or None at the root. A frontier entry is the tokens and that
+    record: the node's tree and Word are built only when it is expanded, and
+    ElementaryMovement objects only for the witness, from the records on its
+    path.
 
     A contractum depends only on its redex, so the rewrites rooted at a
     subterm are computed once per search and kept under the subterm's
     tokens, each with its contractum's tokens; the growing ones only when a
     node below the size cap first needs them. A child's key is spliced from
-    those tokens, and its movement record is built only for a new key.
+    those tokens and probed against the visited sets.
     """
     visited = [{start.word.tokens: None}, {goal.word.tokens: None}]
     roots = (start, goal)
-    # A frontier entry is a word and the movement that reached it (None at
-    # the root); its tree is built only when the entry is expanded.
-    frontiers = [[(start.word, None)], [(goal.word, None)]]
-    depths = [0, 0]
+    frontiers = [[(start.word.tokens, None)], [(goal.word.tokens, None)]]
+    depths = [0, 0]  # levels expanded on each side, the last perhaps in part
     if goal.word.tokens in visited[0]:
         return []
     total_visited = 2
@@ -378,15 +384,15 @@ def _bidirectional_search(
     # each filed by case (see _filed) and None until needed.
     memo: dict[tuple, list] = {}
     expansions = [0, 0]
-    candidates = records = 0
+    candidates = records = largest_frontier = 0
 
     def chain(side: int, tokens) -> list[ElementaryMovement]:
         """The movements from the side's root to tokens, last first."""
         steps = []
-        movement = visited[side][tokens]
-        while movement is not None:
-            steps.append(movement)
-            movement = visited[side][movement.source.word.tokens]
+        record = visited[side][tokens]
+        while record is not None:
+            steps.append(ElementaryMovement(*record))
+            record = visited[side][record[0].word.tokens]
         return steps
 
     try:
@@ -400,16 +406,19 @@ def _bidirectional_search(
                 return "step-cap" if frontiers[0] or frontiers[1] else "exhausted-under-cap"
             side = min(expandable, key=lambda s: (len(frontiers[s]), s))
             seen, other = visited[side], visited[1 - side]
-            new_frontier: list[tuple[Word, ElementaryMovement]] = []
-            for word, reached in sorted(frontiers[side], key=lambda e: (len(e[0]), serialize(e[0]))):
+            largest_frontier = max(largest_frontier, len(frontiers[side]))
+            depths[side] += 1
+            new_frontier: list[tuple[tuple, tuple]] = []
+            level = sorted(
+                frontiers[side], key=lambda e: (len(e[0]), "".join([t.spelling for t in e[0]]))
+            )
+            for tokens, reached in level:
                 if reached is None:
                     node = roots[side]
-                else:  # the entry's word is the node's: graft the tree, keep the word
-                    at = reached.prefix_len
-                    path = _path_to(reached.source, at, at + reached.redex.length)[1]
-                    node = _graft(path, reached.contractum)
-                    node._word = word
-                tokens = word.tokens
+                else:  # graft the tree at the record's occurrence; its word is the key
+                    source, at, redex, contractum = reached[:4]
+                    node = _graft(_path_to(source, at, at + redex.length)[1], contractum)
+                    node._word = Word(tokens)
                 expansions[side] += 1
                 growing = node.size < size_cap
                 sites = []  # (subterm, position, prefix, suffix, rewrites by case)
@@ -437,24 +446,25 @@ def _bidirectional_search(
                             candidates += 1
                             if key in seen:
                                 continue
-                            movement = ElementaryMovement(node, at, sub, contractum, case, direction)
+                            record = (node, at, sub, contractum, case, direction)
                             records += 1
-                            seen[key] = movement
+                            seen[key] = record
                             if key in other:
                                 return list(reversed(chain(0, key))) + [
                                     m.inverted() for m in chain(1, key)
                                 ]
-                            new_frontier.append((Word(key), movement))
+                            new_frontier.append((key, record))
                             total_visited += 1
                             if total_visited > max_visited:
                                 return "visited-cap"
             frontiers[side] = new_frontier
-            depths[side] += 1
     finally:
         stats.expansions = tuple(expansions)
         stats.candidates = candidates
         stats.records = records
         stats.memo_misses = len(memo)
+        stats.depths = tuple(depths)
+        stats.largest_frontier = largest_frontier
 
 
 # The memo entry of a subterm without rewrites: one empty tuple per case.
@@ -470,7 +480,9 @@ def _filed(extension: CellularExtension, sub: Term, growing: bool) -> tuple:
         return _NO_REWRITES
     by_case: tuple[list, ...] = ([], [], [], [], [])
     for case, contractum, direction in rewrites:
-        by_case[case - 1].append((contractum, contractum.word.tokens, direction))
+        word = contractum._word  # an atom always has one
+        tokens = word.tokens if word is not None else _tokens(contractum)
+        by_case[case - 1].append((contractum, tokens, direction))
     return tuple(map(tuple, by_case))
 
 

@@ -241,8 +241,31 @@ def test_braiding_query_work_is_pinned():
     stats = outcome.stats
     assert stats.expansions == (1_377, 133)
     assert (stats.candidates, stats.records, stats.memo_misses) == (16_487, 3_440, 1_899)
+    # The normaliser takes no step here, so the witness is all search steps:
+    # one per level expanded on either side.
+    assert stats.depths == (7, 3) and len(outcome.witness.steps) == sum(stats.depths)
+    assert stats.largest_frontier == 1_122
     golden = json.loads(json.loads(GOLDEN.read_text())["equiv-braiding"]["stdout"])
     assert outcome.witness.to_json() == golden["witness"]["steps"]
+
+
+def test_search_builds_movements_only_for_the_witness(monkeypatch):
+    # The visited sets hold plain records; movement objects are made only
+    # for the witness chain (and the inverted half of it), not per record.
+    built = []
+
+    class Counting(movements.ElementaryMovement):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(movements, "ElementaryMovement", Counting)
+    ext = eh_extension()
+    outcome = equivalent(ext, term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))"))
+    assert outcome.stats.records == 3_440
+    assert 0 < len(built) <= 2 * len(outcome.witness.steps)
 
 
 def test_stats_repeat_and_stay_zero_without_a_search():

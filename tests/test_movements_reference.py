@@ -26,6 +26,7 @@ from polyconduche.movements import (
     ElementaryMovement,
     SearchBounds,
     _splice,
+    apply_movement,
     enumerate_movements,
     equivalent,
 )
@@ -251,6 +252,12 @@ def test_search_matches_the_reference(monkeypatch):
                     patch.setattr(movements, "_bidirectional_search", _reference_search)
                     expected = equivalent(ext, u, v, bounds)
                 assert _outcome(got) == _outcome(expected), (u, v, bounds)
+                if got.witness is not None:
+                    # Each step's source must be the term it is applied to.
+                    moved = u
+                    for step in got.witness.steps:
+                        moved = apply_movement(moved, step)
+                    assert moved.word == v.word, (u, v, bounds)
                 outcomes.add((got.reason, got.stats.expansions != (0, 0)))
     # Witnesses found by the search, and both caps, are among the outcomes.
     assert {(None, True), ("visited-cap", True), ("step-cap", True)} <= outcomes
