@@ -8,7 +8,8 @@ and untracked files that git does not ignore) is copied, each into a
 temporary directory. Pair i runs the unchanged `bench/run.py --trace 0` of
 both trees on one workload with seed `--first-seed + i`; even pairs run the
 base first, odd pairs the work tree. The first line gives the `wc -l` total
-of `src/polyconduche/*.py` in each tree. Each workload's header line names
+of `src/polyconduche/*.py` in each tree, and under it comes one line per
+module whose count changed, by name. Each workload's header line names
 the base revision (with its commit) and the seed range, so that a run can be
 repeated from its output. For every workload and end-to-end metric
 of BENCHMARK.json it prints the medians and quartiles of each side, their
@@ -52,10 +53,27 @@ def copy_work_tree(into: Path) -> None:
             shutil.copy2(source, target)
 
 
+def module_lines(tree: Path) -> dict[str, int]:
+    """The line count `wc -l` gives each module of src/polyconduche in a tree,
+    by file name: its newline characters."""
+    package = tree / "src/polyconduche"
+    return {path.name: path.read_bytes().count(b"\n") for path in package.glob("*.py")}
+
+
 def count_lines(tree: Path) -> int:
-    """The total line count `wc -l src/polyconduche/*.py` gives in a tree:
-    its newline characters."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/polyconduche").glob("*.py"))
+    """The total line count `wc -l src/polyconduche/*.py` gives in a tree."""
+    return sum(module_lines(tree).values())
+
+
+def changed_modules(base: dict[str, int], change: dict[str, int]) -> list[str]:
+    """`name.py: A -> B (+d)` for each module whose line count differs,
+    sorted by name; a module that one side lacks has 0 lines there."""
+    lines = []
+    for name in sorted(base.keys() | change.keys()):
+        before, after = base.get(name, 0), change.get(name, 0)
+        if before != after:
+            lines.append(f"{name}: {before:,} -> {after:,} ({after - before:+,})")
+    return lines
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -165,6 +183,8 @@ def main() -> None:
         lines = count_lines(base), count_lines(change)
         print(f"src/polyconduche/*.py: {lines[0]:,} lines at base {base_name}, "
               f"{lines[1]:,} in the work tree ({lines[1] - lines[0]:+,})")
+        for line in changed_modules(module_lines(base), module_lines(change)):
+            print(f"  {line}")
         for workload in workloads:
             runs = []
             for i, seed in enumerate(seeds):

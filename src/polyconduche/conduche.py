@@ -25,16 +25,12 @@ from .movements import (
     equivalent,
 )
 from .terms import (
-    GENERATOR,
     CellularExtension,
     Term,
-    _enumerate,
-    _pair,
-    _tables_of,
     _term_of,
     _value_buckets,
-    all_atoms,
     check_term,
+    enumerate_terms,
     restriction_extension,
     subterm_at,
 )
@@ -281,8 +277,8 @@ def check_fiber_bijection(
     Membership of a candidate word in the fiber is decided by bounded
     equivalence search against the representative or its image, so an
     Unknown membership contaminates the verdict unless a definite
-    injectivity collision was already found. Image words are compared by
-    shape ids, as in fiber_conduche.
+    injectivity collision was already found. Members are compared by their
+    image words.
     """
     sigma_d = set(query.sigma_d)
     preimage = sorted(
@@ -295,34 +291,31 @@ def check_fiber_bijection(
     ext_d = _restrict_generators(morphism.target, sorted(sigma_d))
     rep_image = induced_term(morphism, query.a)
 
-    def source_image(atom: Term) -> str:
-        return morphism.phi[atom.name] if atom.kind == GENERATOR else morphism.base.apply(atom.name)
-
-    shapes: dict[tuple, int] = {}
     unknown_src = False
-    seen: dict[int, Term] = {}
-    for candidate, shape in _shaped_terms(ext_c, query.size_bound, shapes, source_image):
+    seen: dict[tuple, Term] = {}
+    for candidate in enumerate_terms(ext_c, query.size_bound)[0]:
         verdict = equivalent(ext_c, candidate, query.a, bounds).verdict
         if verdict != WITNESS:
             unknown_src = unknown_src or verdict != DISTINCT
             continue
-        if shape in seen:
+        image = induced_word_map(morphism, candidate.word)
+        if image.tokens in seen:
             return FiberReport(
                 FAIL,
                 {
                     "kind": "injectivity",
-                    "pair": [seen[shape].serialize(), candidate.serialize()],
-                    "image": w_serialize(induced_word_map(morphism, candidate.word)),
+                    "pair": [seen[image.tokens].serialize(), candidate.serialize()],
+                    "image": w_serialize(image),
                 },
             )
-        seen[shape] = candidate
+        seen[image.tokens] = candidate
 
     unknown_tgt = False
     unhit: list[Term] = []
-    for candidate, shape in _shaped_terms(ext_d, query.size_bound, shapes, lambda atom: atom.name):
+    for candidate in enumerate_terms(ext_d, query.size_bound)[0]:
         verdict = equivalent(ext_d, candidate, rep_image, bounds).verdict
         unknown_tgt = unknown_tgt or verdict not in (WITNESS, DISTINCT)
-        if verdict == WITNESS and shape not in seen:
+        if verdict == WITNESS and candidate.word.tokens not in seen:
             unhit.append(candidate)
 
     if unhit and not unknown_src:
@@ -343,22 +336,27 @@ def fiber_conduche(
     atom's is (kind, name of its image), a composite's (left id, k, right
     id), interned per level. The induced word map being token-wise, two
     words of one level have the same image word exactly when their ids are
-    equal, so each fiber comparison is a dictionary pass over ints. A term
-    is rebuilt only for a reported witness.
+    equal, so each fiber comparison is a dictionary pass over ints. The
+    records read the categories' own tables; an extension is built, and a
+    term rebuilt over it, only to spell a reported witness.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
+
+    def spell(category: PresentedCategory, level: int, record: tuple) -> str:
+        return _term_of(full_extension(category, level), record).serialize()
+
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
         shapes: dict[tuple, int] = {}
         src_buckets, _ = _value_buckets(
-            functor.source, full_extension(functor.source, level),
-            lambda atom: (atom.kind, functor.apply(atom.name)), shapes, size_bound,
+            functor.source, level, functor.source.cells.get(level, []),
+            lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
         )
         tgt_buckets, _ = _value_buckets(
-            functor.target, full_extension(functor.target, level),
-            lambda atom: (atom.kind, atom.name), shapes, size_bound,
+            functor.target, level, functor.target.cells.get(level, []),
+            lambda atom: atom, shapes, size_bound,
         )
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
@@ -371,7 +369,7 @@ def fiber_conduche(
                         "x": a,
                         "level": level,
                         "kind": "injectivity",
-                        "pair": [_term_of(r).serialize() for r in (seen[shape], record)],
+                        "pair": [spell(functor.source, level, r) for r in (seen[shape], record)],
                     }
                     break
                 seen[shape] = record
@@ -382,30 +380,12 @@ def fiber_conduche(
                             "x": a,
                             "level": level,
                             "kind": "surjectivity",
-                            "unhit": _term_of(record).serialize(),
+                            "unhit": spell(functor.target, level, record),
                         }
                         break
             if fail is not None:
                 failures.append(fail)
     return ConducheReport(FAIL if failures else PASS, failures)
-
-
-def _shaped_terms(extension: CellularExtension, size_bound: int, shapes: dict, image) -> list:
-    """The terms of enumerate_terms(extension, size_bound), each with the
-    shape id of its image word as in fiber_conduche, where image(atom) names
-    the image of an atom and `shapes` numbers the shapes, from one
-    enumeration pass."""
-    tables = _tables_of(extension)
-
-    def pair(left: tuple, k: int, right: tuple) -> tuple:
-        return (_pair(left[0], k, right[0]), shapes.setdefault((left[1], k, right[1]), len(shapes)))
-
-    atoms = [(a, shapes.setdefault((a.kind, image(a)), len(shapes))) for a in all_atoms(extension)]
-    items, _ = _enumerate(
-        atoms, extension.dimension, lambda item, k: tables.sources[k][item[0].src],
-        lambda item, k: tables.targets[k][item[0].tgt], pair, size_bound,
-    )
-    return items
 
 
 # -- movement lifting --------------------------------------------------------

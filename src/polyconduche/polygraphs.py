@@ -13,15 +13,7 @@ from dataclasses import dataclass, field
 from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
 from .movements import SearchBounds, WITNESS, equivalent
-from .terms import (
-    GENERATOR,
-    IDENTITY,
-    CellularExtension,
-    _term_of,
-    _unit_on,
-    _value_buckets,
-    restriction_extension,
-)
+from .terms import GENERATOR, IDENTITY, _term_of, _value_buckets, restriction_extension
 
 BASIS = "Basis"
 NOT_BASIS = "NotBasis"
@@ -112,47 +104,41 @@ def _reachable_values(
     return values
 
 
-def _reduced(extension: CellularExtension):
-    """The enumerate_terms filter for terms with no removable unit factor and
+def _reduced_records(category: PresentedCategory, level: int):
+    """The _value_buckets filter for words with no removable unit factor and
     no mergeable identity pair.
 
-    Every term is connected to such a representative of the same or smaller
+    Every word is connected to such a representative of the same or smaller
     size, so checking connectivity on these alone decides it for the full
-    set of preimage words within the bound, at a fraction of the cost. It
-    reads each factor as a record whose left is the term and k its level.
-    """
-    admit = _reduced_records(extension)
-    return lambda left, k, right: admit((0, 0, left, left.level), k, (0, 0, right, right.level))
-
-
-def _reduced_records(extension: CellularExtension):
-    """_reduced on the records of terms._value_buckets. Factors that meet at
-    k share the k-boundary a unit would sit on, so (i:x) is a unit its
-    partner absorbs when x is the unit on its own k-boundary."""
-    n = extension.dimension
-    comp = extension.base.comp
+    set of preimage words within the bound, at a fraction of the cost.
+    Factors that meet at k share the k-boundary a unit would sit on, so
+    (i:x) is a unit its partner absorbs when x is k-degenerate; at k = n
+    every identity atom is."""
+    n = level - 1
+    units = {
+        (x, k) for x in category.cells.get(n, []) for k in range(level)
+        if category.degeneracy_preimage(x, k) is not None
+    }
+    merges = [category.comp.get((n, k), {}) for k in range(n)]
 
     def admit(left: tuple, k: int, right: tuple) -> bool:
-        lid = left[2].name if left[3] is None and left[2].kind == IDENTITY else None
-        rid = right[2].name if right[3] is None and right[2].kind == IDENTITY else None
-        if lid is not None and lid == _unit_on(extension, lid, k, SRC):
+        lid = left[2][1] if left[3] is None and left[2][0] == IDENTITY else None
+        rid = right[2][1] if right[3] is None and right[2][0] == IDENTITY else None
+        if (lid, k) in units or (rid, k) in units:
             return False
-        if rid is not None and rid == _unit_on(extension, rid, k, TGT):
-            return False
-        return lid is None or rid is None or k == n or (lid, rid) not in comp.get((n, k), {})
+        return lid is None or rid is None or k == n or (lid, rid) not in merges[k]
 
     return admit
 
 
-def _basis_records(category: PresentedCategory, extension: CellularExtension, size_bound, max_count):
-    """The words of enumerate_terms(extension, size_bound, max_count,
-    admit=_reduced(extension)) as terms._value_buckets records, with the
-    truncation flag and, by shape id, each word's atoms, left to right,
-    which re-association leaves fixed."""
+def _basis_records(category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count):
+    """The reduced words over sigma as terms._value_buckets records, with the
+    truncation flag and, by shape id, each word's atoms (kind, name), left to
+    right, which re-association leaves fixed."""
     shapes: dict[tuple, int] = {}
     buckets, truncated = _value_buckets(
-        category, extension, lambda atom: (atom,), shapes, size_bound, max_count,
-        _reduced_records(extension),
+        category, level, sigma, lambda atom: (atom,), shapes, size_bound, max_count,
+        _reduced_records(category, level),
     )
     atoms: list[tuple] = []
     for key in shapes:  # factors are numbered before the words they make
@@ -199,24 +185,25 @@ def check_basis(
     if size_bound is None:
         size_bound = default_word_bound(category, level)
     extension = restriction_extension(category, level, sigma)
-    buckets, truncated, atoms = _basis_records(category, extension, size_bound, bounds.max_terms)
+    buckets, truncated, atoms = _basis_records(category, level, sigma, size_bound, bounds.max_terms)
 
     def multiset(record: tuple) -> list[str]:
-        return sorted(atom.name for atom in atoms[record[1]] if atom.kind == GENERATOR)
+        return sorted(name for kind, name in atoms[record[1]] if kind == GENERATOR)
 
     for a in cells:
         first, *others = buckets.get(a) or [None]
         for record in others:
             if atoms[record[1]] != atoms[first[1]] and multiset(record) != multiset(first):
-                pair = [_term_of(first).serialize(), _term_of(record).serialize()]
+                pair = [_term_of(extension, r).serialize() for r in (first, record)]
                 return BasisVerdict(NOT_BASIS, {"kind": "DisconnectedPair", "pair": pair, "cell": a})
 
     def connected(preimages: list[tuple]) -> bool:
         first = preimages[0]
         searched = [r for r in preimages[1:] if level > 1 or atoms[r[1]] != atoms[first[1]]]
-        representative = _term_of(first) if searched else None
+        representative = _term_of(extension, first) if searched else None
         return all(
-            equivalent(extension, _term_of(r), representative, bounds.search).verdict == WITNESS
+            equivalent(extension, _term_of(extension, r), representative, bounds.search).verdict
+            == WITNESS
             for r in searched
         )
 

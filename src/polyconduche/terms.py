@@ -590,16 +590,14 @@ def all_atoms(extension: CellularExtension) -> list[Term]:
 
 
 def enumerate_terms(
-    extension: CellularExtension, max_size: int, max_count: int | None = None, admit=None
+    extension: CellularExtension, max_size: int, max_count: int | None = None
 ) -> tuple[list[Term], bool]:
     """All terms of size up to max_size, smallest first, deterministic order.
 
     Returns (terms, truncated): at most max_count terms, and truncated True
-    when an admitted term within max_size was left out. Each composite
-    shares its factors with the smaller terms it is built from, so the list
-    is factor-closed. When given, admit(left, k, right) filters the
-    composites of factors that meet; a rejected composite is never built and
-    never used as a factor.
+    when a term within max_size was left out. Each composite shares its
+    factors with the smaller terms it is built from, so the list is
+    factor-closed.
     """
     tables = _tables_of(extension)
     return _enumerate(
@@ -610,7 +608,6 @@ def enumerate_terms(
         _pair,
         max_size,
         max_count,
-        admit,
     )
 
 
@@ -619,7 +616,8 @@ def _enumerate(
     max_count: int | None = None, admit=None,
 ) -> tuple[list, bool]:
     """The one enumeration loop: every item of size up to max_size, smallest
-    first, as (items, truncated) with the truncation rule of enumerate_terms.
+    first, as (items, truncated): at most max_count items, and truncated
+    True when an admitted item within max_size was left out.
 
     An item of size 0 is an atom; one of size s > 0 is pair(left, k, right)
     for k in 0..top and items left, right of sizes adding up to s - 1 that
@@ -662,20 +660,20 @@ def _enumerate(
 
 
 def _value_buckets(
-    category: PresentedCategory, extension: CellularExtension, atom_key, shapes: dict,
+    category: PresentedCategory, level: int, sigma: list[str], atom_key, shapes: dict,
     max_size: int, max_count: int | None = None, admit=None,
 ) -> tuple[dict[str, list[tuple]], bool]:
-    """The words of enumerate_terms(extension, max_size, max_count) over the
-    category's truncation below a level, with generators at that level, as
-    records (value, shape id, left, k, right) bucketed by value, and truncated.
-    An atom's record holds its term as left and None as k. Shapes are
-    numbered in `shapes`, factors first: an atom's is atom_key(atom), a
-    composite's (left id, k, right id). Factors meet when their values'
-    boundaries do, which in a valid category is when their terms' do.
-    admit, when given, filters pairs of records."""
-    tables = _tables_of(extension)
-    level = tables.dimension + 1
-    src, tgt, units = category.src[level], category.tgt[level], category.ids[level - 1]
+    """The words of enumerate_terms(restriction_extension(category, level,
+    sigma), max_size, max_count) as records (value, shape id, left, k, right)
+    bucketed by value, and truncated, read off the category's own tables.
+    An atom's record holds (kind, name) as left and None as k; the atoms are
+    sigma's generators, then (i:x) for each (level-1)-cell x, as all_atoms
+    lists them. Shapes are numbered in `shapes`, factors first: an atom's is
+    atom_key((kind, name)), a composite's (left id, k, right id). Factors
+    meet when their values' boundaries do, which in a valid category is when
+    their terms' do. admit, when given, filters pairs of records."""
+    sources, targets = boundary_maps(category, SRC), boundary_maps(category, TGT)
+    units = category.ids[level - 1]
     composites = [category.comp.get((level, k), {}) for k in range(level)]
 
     def pair(left: tuple, k: int, right: tuple) -> tuple:
@@ -683,14 +681,13 @@ def _value_buckets(
         value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
         return (value, shapes.setdefault((left[1], k, right[1]), len(shapes)), left, k, right)
 
-    atoms = [
-        (atom.name if atom.kind == GENERATOR else units[atom.name],
-         shapes.setdefault(atom_key(atom), len(shapes)), atom, None, None)
-        for atom in all_atoms(extension)
-    ]
+    valued = [(name, (GENERATOR, name)) for name in sigma]
+    valued += [(units[cell], (IDENTITY, cell)) for cell in category.cells.get(level - 1, [])]
+    atoms = [(value, shapes.setdefault(atom_key(atom), len(shapes)), atom, None, None)
+             for value, atom in valued]
     records, truncated = _enumerate(
-        atoms, level - 1, lambda record, k: tables.sources[k][src[record[0]]],
-        lambda record, k: tables.targets[k][tgt[record[0]]], pair, max_size, max_count, admit,
+        atoms, level - 1, lambda record, k: sources[k][record[0]],
+        lambda record, k: targets[k][record[0]], pair, max_size, max_count, admit,
     )
     buckets: dict[str, list[tuple]] = {}
     for record in records:
@@ -698,10 +695,10 @@ def _value_buckets(
     return buckets, truncated
 
 
-def _term_of(record: tuple) -> Term:
-    """The term a record of _value_buckets stands for, rebuilt from its
-    factors with an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit."""
+def _term_of(extension: CellularExtension, record: tuple) -> Term:
+    """The term over extension that a record of _value_buckets stands for,
+    rebuilt from its factors with an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit."""
     built: list[Term] = []
     todo: list = [record]
     while todo:
@@ -710,7 +707,7 @@ def _term_of(record: tuple) -> Term:
             right = built.pop()
             built.append(_pair(built.pop(), item, right))
         elif item[3] is None:
-            built.append(item[2])
+            built.append(_atom(extension, *item[2]))
         else:
             todo += (item[3], item[4], item[2])
     return built[0]

@@ -1,5 +1,5 @@
 """The verdict rule of scripts/bench_pairs.py on made-up pairs, and its
-line count."""
+line counts."""
 
 import importlib.util
 from pathlib import Path
@@ -59,3 +59,19 @@ def test_line_count_is_the_wc_total_of_the_package_modules(tmp_path):
     (package / "sub").mkdir()
     (package / "sub" / "c.py").write_text("not counted\n")
     assert bench_pairs.count_lines(tmp_path) == 5
+
+
+def test_changed_modules_are_listed_by_name(tmp_path):
+    package = tmp_path / "src" / "polyconduche"
+    package.mkdir(parents=True)
+    (package / "terms.py").write_text("a\nb\n")
+    (package / "cli.py").write_text("c\n")
+    assert bench_pairs.module_lines(tmp_path) == {"terms.py": 2, "cli.py": 1}
+    base = {"terms.py": 743, "conduche.py": 465, "cli.py": 475, "old.py": 1}
+    change = {"terms.py": 739, "conduche.py": 445, "cli.py": 475, "new.py": 1200}
+    assert bench_pairs.changed_modules(base, change) == [
+        "conduche.py: 465 -> 445 (-20)",
+        "new.py: 0 -> 1,200 (+1,200)",
+        "old.py: 1 -> 0 (-1)",
+        "terms.py: 743 -> 739 (-4)",
+    ]

@@ -1,5 +1,6 @@
 import pytest
 
+from polyconduche import terms
 from polyconduche.categories import OmegaFunctor, identity_functor
 from polyconduche.conduche import (
     FAIL,
@@ -155,14 +156,34 @@ def test_fiber_route_reports_a_missing_table_entry(build, table, message):
 
 def test_fiber_witness_rebuilds_deep_records():
     # a record nested deeper than the interpreter's recursion limit
-    atoms = {atom.name: atom for atom in all_atoms(full_extension(loop_category(), 1))}
-    s = ("s", 0, atoms["s"], None, None)
+    s = ("s", 0, (GENERATOR, "s"), None, None)
     record = s
     for _ in range(3000):
         record = ("s", 1, record, 0, s)
-    term = _term_of(record)
+    term = _term_of(full_extension(loop_category(), 1), record)
     assert term.size == 3000
     assert term.serialize() == "(" * 3001 + "c:s)" + "*0(c:s))" * 3000
+
+
+def test_fiber_route_builds_extensions_only_for_witnesses(monkeypatch):
+    # The records read the categories' own tables: an extension, and with it
+    # a truncated copy of the category, is built only to spell a witness word.
+    calls = []
+    truncate = terms.truncate
+
+    def counted(*args):
+        calls.append(args)
+        return truncate(*args)
+
+    monkeypatch.setattr(terms, "truncate", counted)
+    verdicts = set()
+    for name, functor in functor_corpus():
+        calls.clear()
+        report = fiber_conduche(functor, 3)
+        verdicts.add(report.verdict)
+        words = sum(len(f.get("pair", [])) + ("unhit" in f) for f in report.failures)
+        assert len(calls) <= words, name
+    assert verdicts == {PASS, FAIL}
 
 
 def test_fiber_bijection_requires_exact_preimage():

@@ -20,7 +20,6 @@ from polyconduche.conduche import (
     FAIL,
     PASS,
     ConducheReport,
-    _shaped_terms,
     fiber_conduche,
     full_extension,
     induced_word_map,
@@ -43,16 +42,15 @@ from polyconduche.polygraphs import (
     BasisVerdict,
     _basis_records,
     _reachable_values,
-    _reduced,
     check_basis,
     default_word_bound,
     indecomposables,
     transfer_basis,
 )
 from polyconduche.terms import (
-    GENERATOR,
     IDENTITY,
     _term_of,
+    _value_buckets,
     all_atoms,
     compose_terms,
     enumerate_terms,
@@ -263,14 +261,12 @@ def test_fold_enumerated_equals_evaluate(category):
     for level in range(1, category.dimension + 1):
         sigma = list(category.cells.get(level, []))
         extension = restriction_extension(category, level, sigma)
-        buckets, _, atoms = _basis_records(category, extension, 3, None)
+        buckets, _, atoms = _basis_records(category, level, sigma, 3, None)
         for value, records in buckets.items():
             for record in records:
-                term = _term_of(record)
+                term = _term_of(extension, record)
                 assert value == record[0] == evaluate(category, sigma, term)
-                assert [atom.serialize() for atom in atoms[record[1]]] == [
-                    node.serialize() for node in atoms_of(term)
-                ]
+                assert list(atoms[record[1]]) == [(node.kind, node.name) for node in atoms_of(term)]
 
 
 def atoms_of(term):
@@ -282,25 +278,27 @@ def atoms_of(term):
 
 @pytest.mark.parametrize("name, functor", CORPUS, ids=[name for name, _ in CORPUS])
 def test_shaped_terms_match_image_words(name, functor):
-    for level in range(1, min(functor.source.dimension, functor.target.dimension) + 1):
+    source, target = functor.source, functor.target
+    for level in range(1, min(source.dimension, target.dimension) + 1):
         morphism = morphism_from_functor(functor, level)
-
-        def image(atom):
-            if atom.kind == GENERATOR:
-                return morphism.phi[atom.name]
-            return morphism.base.apply(atom.name)
-
         shapes = {}
-        sources = _shaped_terms(morphism.source, 3, shapes, image)
-        targets = _shaped_terms(morphism.target, 3, shapes, lambda atom: atom.name)
-        assert [t.serialize() for t, _ in sources] == [
-            t.serialize() for t in enumerate_terms(morphism.source, 3)[0]
-        ]
-        assert [t.serialize() for t, _ in targets] == [
-            t.serialize() for t in enumerate_terms(morphism.target, 3)[0]
-        ]
-        images = [(induced_word_map(morphism, t.word).tokens, shape) for t, shape in sources]
-        images += [(t.word.tokens, shape) for t, shape in targets]
+        sources, _ = _value_buckets(
+            source, level, source.cells.get(level, []),
+            lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3,
+        )
+        targets, _ = _value_buckets(
+            target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3
+        )
+        images = []
+        for extension, buckets, relabel in (
+            (morphism.source, sources, lambda word: induced_word_map(morphism, word)),
+            (morphism.target, targets, lambda word: word),
+        ):
+            terms = [(_term_of(extension, r), r[1]) for records in buckets.values() for r in records]
+            assert sorted(t.serialize() for t, _ in terms) == sorted(
+                t.serialize() for t in enumerate_terms(extension, 3)[0]
+            )
+            images += [(relabel(t.word).tokens, shape) for t, shape in terms]
         ids = {}
         for image, shape in images:
             assert ids.setdefault(image, shape) == shape
@@ -332,15 +330,16 @@ BASIS_CASES = basis_cases()
 )
 def test_record_filter_admits_what_reduced_admits(category, level, sigma):
     extension = restriction_extension(category, level, sigma)
-    everything = len(enumerate_terms(extension, 3, admit=_reduced(extension))[0])
+    everything = len(plain_enumeration(extension, 3, reduced=True)[0])
     for max_count in (None, 2, 40, everything):
-        buckets, cut, _ = _basis_records(category, extension, 3, max_count)
-        terms, want_cut = enumerate_terms(extension, 3, max_count, admit=_reduced(extension))
+        buckets, cut, _ = _basis_records(category, level, sigma, 3, max_count)
+        terms, want_cut = plain_enumeration(extension, 3, max_count, reduced=True)
         want = {}
         for term in terms:
             want.setdefault(evaluate(category, sigma, term), []).append(term.serialize())
         assert cut == want_cut
-        assert {v: [_term_of(r).serialize() for r in rs] for v, rs in buckets.items()} == want
+        got = {v: [_term_of(extension, r).serialize() for r in rs] for v, rs in buckets.items()}
+        assert got == want
 
 
 @pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])
@@ -348,9 +347,7 @@ def test_enumerate_terms_matches_plain_enumeration(category):
     for level in range(1, category.dimension + 1):
         extension = full_extension(category, level)
         for max_count in (None, 2, 40, len(enumerate_terms(extension, 3)[0])):
-            for reduced in (False, True):
-                admit = _reduced(extension) if reduced else None
-                got, cut = enumerate_terms(extension, 3, max_count, admit=admit)
-                want, want_cut = plain_enumeration(extension, 3, max_count, reduced)
-                assert cut == want_cut
-                assert [t.serialize() for t in got] == [t.serialize() for t in want]
+            got, cut = enumerate_terms(extension, 3, max_count)
+            want, want_cut = plain_enumeration(extension, 3, max_count)
+            assert cut == want_cut
+            assert [t.serialize() for t in got] == [t.serialize() for t in want]

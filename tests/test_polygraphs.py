@@ -1,6 +1,6 @@
 import pytest
 
-from polyconduche import polygraphs
+from polyconduche import polygraphs, terms
 from polyconduche.categories import (
     OmegaFunctor,
     PresentedCategory,
@@ -170,9 +170,20 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
     calls = {"equivalent": 0, "_term_of": 0}
     for function in calls:
         monkeypatch.setattr(polygraphs, function, counting(calls, function))
+    # The records read the category's tables: the extension's ParseTables
+    # are built only when a term is rebuilt over it.
+    parsed = []
+    build = terms.ParseTables
+
+    def counted(extension):
+        parsed.append(extension)
+        return build(extension)
+
+    monkeypatch.setattr(terms, "ParseTables", counted)
     verdict = check_basis(category, 1, sigma)
     assert verdict.verdict == expected
     assert calls == {"equivalent": 0, "_term_of": rebuilt}
+    assert len(parsed) == {"chain7": 0, "path2-all": 1}[name]
 
 
 def test_level_two_words_with_the_same_atoms_are_searched():

@@ -2,18 +2,21 @@
 
 from random import Random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyconduche.conduche import full_extension
 from polyconduche.fixtures import (
+    arrow_category,
     chain3_extension,
     eh_extension,
     idem_category,
+    loop_category,
     parallel_pair_category,
     path2_category,
 )
 from polyconduche.movements import (
     WITNESS,
+    SearchStats,
     apply_movement,
     enumerate_movements,
     equivalent,
@@ -32,6 +35,10 @@ EXTENSIONS = [
 # Names like "1x" fall outside the identifier grammar, so only extensions
 # whose atoms all lex can promise a tokenize round trip.
 LEXABLE = EXTENSIONS[:2]
+DIMENSION_ZERO = [
+    full_extension(build(), 1)
+    for build in (path2_category, loop_category, arrow_category, idem_category)
+]
 
 
 def terms(pool, max_size=5):
@@ -87,3 +94,21 @@ def test_terms_are_self_equivalent(pair):
     for step in outcome.witness.steps:
         replay = apply_movement(replay, step)
     assert replay.word == term.word
+
+
+@settings(derandomize=True, max_examples=100)
+@given(terms(DIMENSION_ZERO))
+def test_dimension_zero_normal_form_is_invariant_under_movements(pair):
+    # Over a 0-category, reduction and right association give every word one
+    # normal form that no movement changes, so a word and any movement of it
+    # are connected by normal forms alone, with no search.
+    extension, term = pair
+    for movement in enumerate_movements(extension, term):
+        moved = apply_movement(term, movement)
+        outcome = equivalent(extension, term, moved)
+        assert outcome.verdict == WITNESS
+        assert outcome.stats == SearchStats()
+        replay = term
+        for step in outcome.witness.steps:
+            replay = apply_movement(replay, step)
+        assert replay.word == moved.word
