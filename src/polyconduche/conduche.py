@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import OmegaFunctor, PresentedCategory, truncate
+from .categories import SRC, TGT, OmegaFunctor, PresentedCategory, boundary_maps, truncate
 from .errors import BadOccurrence, NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     BACKWARD,
@@ -25,6 +25,8 @@ from .movements import (
     equivalent,
 )
 from .terms import (
+    GENERATOR,
+    IDENTITY,
     CellularExtension,
     Term,
     _term_of,
@@ -278,7 +280,8 @@ def check_fiber_bijection(
     equivalence search against the representative or its image, so an
     Unknown membership contaminates the verdict unless a definite
     injectivity collision was already found. Members are compared by their
-    image words.
+    image words. Each side keeps a search memo for this call (see
+    equivalent), so candidates that normalise alike share one search.
     """
     sigma_d = set(query.sigma_d)
     preimage = sorted(
@@ -293,8 +296,9 @@ def check_fiber_bijection(
 
     unknown_src = False
     seen: dict[tuple, Term] = {}
+    memo: dict = {}
     for candidate in enumerate_terms(ext_c, query.size_bound)[0]:
-        verdict = equivalent(ext_c, candidate, query.a, bounds).verdict
+        verdict = equivalent(ext_c, candidate, query.a, bounds, memo).verdict
         if verdict != WITNESS:
             unknown_src = unknown_src or verdict != DISTINCT
             continue
@@ -312,8 +316,9 @@ def check_fiber_bijection(
 
     unknown_tgt = False
     unhit: list[Term] = []
+    memo = {}
     for candidate in enumerate_terms(ext_d, query.size_bound)[0]:
-        verdict = equivalent(ext_d, candidate, rep_image, bounds).verdict
+        verdict = equivalent(ext_d, candidate, rep_image, bounds, memo).verdict
         unknown_tgt = unknown_tgt or verdict not in (WITNESS, DISTINCT)
         if verdict == WITNESS and candidate.word.tokens not in seen:
             unhit.append(candidate)
@@ -331,61 +336,156 @@ def fiber_conduche(
     """Fiber-route verdict over every level and every fiber of a finite
     functor, with full generator sets.
 
-    Each side's words are enumerated once per level as records of their
-    value and the shape id of their image word (terms._value_buckets): an
-    atom's is (kind, name of its image), a composite's (left id, k, right
-    id), interned per level. The induced word map being token-wise, two
-    words of one level have the same image word exactly when their ids are
-    equal, so each fiber comparison is a dictionary pass over ints. The
-    records read the categories' own tables; an extension is built, and a
-    term rebuilt over it, only to spell a reported witness.
+    A level is decided from classes of target words (see _fiber_classes):
+    for a target word t and a source value v, let N_t(v) be the number of
+    source words with image t and value v, capped at 2. A cell a fails
+    injectivity when some target word of size up to the bound has
+    N_t(a) = 2, and surjectivity when some target word of value F(a) has
+    N_t(a) = 0; injectivity is checked first. The induced word map is
+    token-wise and whether two source words compose depends only on their
+    values, so N of a composite (t1 *k t2) is the sum of N_t1(v1) * N_t2(v2)
+    over the source values v1, v2 that meet at k, filed under v1 *k v2 and
+    capped at 2. Target words with the same value and N are interchangeable
+    as factors, so the level needs only its classes (value, N), each at its
+    least size, and not its words.
+
+    A level without failing cells lists no word. A failing level's
+    witnesses come from _record_failures run at size s*, the largest of the
+    failing cells' least witness sizes. Records are listed smallest first,
+    and the image map keeps sizes, so every bucket up to s* is the prefix of
+    the one at the full bound; a cell's first collision and its first unhit
+    target word have the least size of a witness class, at most s*, and no
+    cell passes at s* that fails at the full bound. So the report is the
+    one the records give at the full bound, to the byte.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
-
-    def spell(category: PresentedCategory, level: int, record: tuple) -> str:
-        return _term_of(full_extension(category, level), record).serialize()
-
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
-        shapes: dict[tuple, int] = {}
-        src_buckets, _ = _value_buckets(
-            functor.source, level, functor.source.cells.get(level, []),
-            lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
-        )
-        tgt_buckets, _ = _value_buckets(
-            functor.target, level, functor.target.cells.get(level, []),
-            lambda atom: atom, shapes, size_bound,
-        )
+        classes = _fiber_classes(functor, level, size_bound)
+        witness_sizes = []
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
-            seen: dict[int, tuple] = {}
-            fail = None
-            for record in src_buckets.get(a, []):
-                shape = record[1]
-                if shape in seen:
+            sizes = [size for _, counts, size in classes if counts.get(a) == 2]
+            if not sizes:
+                sizes = [size for value, counts, size in classes if value == fa and a not in counts]
+            if sizes:
+                witness_sizes.append(min(sizes))
+        if witness_sizes:
+            failures += _record_failures(functor, level, max(witness_sizes))
+    return ConducheReport(FAIL if failures else PASS, failures)
+
+
+def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[tuple]:
+    """The classes of the level's target words of size up to size_bound, as
+    (target value, N, least size); N maps each source value v to the number
+    of source words over the target word with value v, capped at 2 and left
+    out at 0.
+
+    A composite's class depends only on its factors' classes and its size is
+    theirs plus one, so a class of least size s comes from factor classes
+    at their least sizes s1 + s2 = s - 1: only those are combined.
+    """
+    source, target = functor.source, functor.target
+    src_sources, src_targets = boundary_maps(source, SRC), boundary_maps(source, TGT)
+    tgt_sources, tgt_targets = boundary_maps(target, SRC), boundary_maps(target, TGT)
+
+    def add(counts: dict, value: str, n: int) -> None:
+        counts[value] = min(2, counts.get(value, 0) + n)
+
+    atoms: dict[tuple, dict] = {}  # target atom (kind, name) -> its N
+    for x in source.cells.get(level, []):
+        add(atoms.setdefault((GENERATOR, functor.apply(x)), {}), x, 1)
+    for y in source.cells.get(level - 1, []):
+        add(atoms.setdefault((IDENTITY, functor.apply(y)), {}), source.ids[level - 1][y], 1)
+    layer = {}
+    for y in target.cells.get(level, []):
+        layer[(y, frozenset(atoms.get((GENERATOR, y), {}).items()))] = 0
+    for z in target.cells.get(level - 1, []):
+        preimages = atoms.get((IDENTITY, z), {})
+        layer.setdefault((target.ids[level - 1][z], frozenset(preimages.items())), 0)
+    least = dict(layer)
+    by_size = [list(layer)]
+    for size in range(1, size_bound + 1):
+        layer = {}
+        for k in range(level):
+            src_comp = source.comp.get((level, k), {})
+            tgt_comp = target.comp.get((level, k), {})
+            for left_size in range(size):
+                partners: dict[str, list] = {}
+                for right in by_size[size - 1 - left_size]:
+                    partners.setdefault(tgt_targets[k][right[0]], []).append(right)
+                for w1, n1 in by_size[left_size]:
+                    for w2, n2 in partners.get(tgt_sources[k][w1], ()):
+                        counts: dict[str, int] = {}
+                        for v1, c1 in n1:
+                            for v2, c2 in n2:
+                                if src_sources[k][v1] == src_targets[k][v2]:
+                                    value = src_comp.get((v1, v2)) or source.compose(v1, v2, k)
+                                    add(counts, value, c1 * c2)
+                        value = tgt_comp.get((w1, w2)) or target.compose(w1, w2, k)
+                        key = (value, frozenset(counts.items()))
+                        if key not in least:
+                            least[key] = layer[key] = size
+        by_size.append(list(layer))
+    return [(value, dict(counts), size) for (value, counts), size in least.items()]
+
+
+def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list[dict]:
+    """The failures of one level, from the words of both sides up to the
+    size bound.
+
+    Each side's words are listed once as records of their value and the
+    shape id of their image word (terms._value_buckets): an atom's is
+    (kind, name of its image), a composite's (left id, k, right id),
+    interned per level. The induced word map being token-wise, two words
+    have the same image word exactly when their ids are equal, so each
+    fiber comparison is a dictionary pass over ints. The records read the
+    categories' own tables; an extension is built, and a term rebuilt over
+    it, only to spell a witness.
+    """
+
+    def spell(category: PresentedCategory, record: tuple) -> str:
+        return _term_of(full_extension(category, level), record).serialize()
+
+    shapes: dict[tuple, int] = {}
+    src_buckets, _ = _value_buckets(
+        functor.source, level, functor.source.cells.get(level, []),
+        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
+    )
+    tgt_buckets, _ = _value_buckets(
+        functor.target, level, functor.target.cells.get(level, []),
+        lambda atom: atom, shapes, size_bound,
+    )
+    failures: list[dict] = []
+    for a in functor.source.cells.get(level, []):
+        seen: dict[int, tuple] = {}
+        fail = None
+        for record in src_buckets.get(a, []):
+            shape = record[1]
+            if shape in seen:
+                fail = {
+                    "x": a,
+                    "level": level,
+                    "kind": "injectivity",
+                    "pair": [spell(functor.source, r) for r in (seen[shape], record)],
+                }
+                break
+            seen[shape] = record
+        if fail is None:
+            for record in tgt_buckets.get(functor.apply(a), []):
+                if record[1] not in seen:
                     fail = {
                         "x": a,
                         "level": level,
-                        "kind": "injectivity",
-                        "pair": [spell(functor.source, level, r) for r in (seen[shape], record)],
+                        "kind": "surjectivity",
+                        "unhit": spell(functor.target, record),
                     }
                     break
-                seen[shape] = record
-            if fail is None:
-                for record in tgt_buckets.get(fa, []):
-                    if record[1] not in seen:
-                        fail = {
-                            "x": a,
-                            "level": level,
-                            "kind": "surjectivity",
-                            "unhit": spell(functor.target, level, record),
-                        }
-                        break
-            if fail is not None:
-                failures.append(fail)
-    return ConducheReport(FAIL if failures else PASS, failures)
+        if fail is not None:
+            failures.append(fail)
+    return failures
 
 
 # -- movement lifting --------------------------------------------------------

@@ -375,14 +375,16 @@ def _extend_edge_map(
 
 def inflate_functor(functor: OmegaFunctor, n: int) -> OmegaFunctor:
     """Extend a functor to the inflated categories by mapping the padding
-    identities along."""
+    identities along: the identity on a cell goes to the identity on its
+    image, which is a cell of the target also where the target was deeper
+    than the source already."""
     source = inflate(functor.source, n)
     target = inflate(functor.target, n)
     maps = {level: dict(table) for level, table in functor.maps.items()}
     for level in range(functor.source.dimension + 1, n + 1):
         below = maps[level - 1]
         maps[level] = {
-            f"1({cell})": f"1({below[cell]})"
+            source.ids[level - 1][cell]: target.ids[level - 1][below[cell]]
             for cell in source.cells.get(level - 1, [])
         }
     return OmegaFunctor(source, target, maps)

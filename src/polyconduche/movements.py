@@ -302,13 +302,23 @@ def reduce(extension: CellularExtension, term: Term) -> Term:
 
 
 def equivalent(
-    extension: CellularExtension, u: Term, v: Term, bounds: SearchBounds | None = None
+    extension: CellularExtension,
+    u: Term,
+    v: Term,
+    bounds: SearchBounds | None = None,
+    memo: dict | None = None,
 ) -> EquivalenceOutcome:
     """Decide u ~ v within bounds.
 
     Distinct only ever comes from the two proven movement invariants:
     mismatched top-level boundaries or mismatched generator multisets.
     Everything the bounded bidirectional search cannot connect is Unknown.
+
+    The search is deterministic in the extension and in its start and goal
+    words, size cap, step budget and visited cap. A caller that asks many
+    queries over one extension may pass a dict as memo, kept only as long
+    as those queries: each search then runs once per distinct key, and a
+    repeat returns the first run's steps and stats.
     """
     bounds = bounds or SearchBounds()
     if (u.src, u.tgt) != (v.src, v.tgt):
@@ -333,10 +343,16 @@ def equivalent(
     if budget <= 0:
         return EquivalenceOutcome(UNKNOWN, reason="step-cap")
     size_cap = max(u.size, v.size) + bounds.size_slack
-    stats = SearchStats()
-    middle = _bidirectional_search(
-        extension, ru, rv, size_cap, budget, bounds.max_visited, stats
-    )
+    if memo is None:
+        memo = {}
+    key = (ru.word.tokens, rv.word.tokens, size_cap, budget, bounds.max_visited)
+    if key not in memo:
+        stats = SearchStats()
+        memo[key] = (
+            _bidirectional_search(extension, ru, rv, size_cap, budget, bounds.max_visited, stats),
+            stats,
+        )
+    middle, stats = memo[key]
     if isinstance(middle, str):
         return EquivalenceOutcome(UNKNOWN, reason=middle, stats=stats)
     steps = path_u + middle + [m.inverted() for m in reversed(path_v)]

@@ -18,6 +18,7 @@ from polyconduche.errors import SchemaError, UndefinedComposite
 from polyconduche.fixtures import (
     arrow_category,
     idem_category,
+    inflate_functor,
     loop_category,
     parallel_pair_category,
     path2_category,
@@ -115,6 +116,18 @@ def test_inflate_pads_with_identities():
     assert c.cells[3] == ["1(1(1x))", "1(1(1y))", "1(1(u))"]
     assert validate_category(c).ok
     assert truncate(c, 1).cells == arrow_category().cells
+
+
+def test_inflate_functor_into_a_deeper_target():
+    # idem is 2-dimensional already, so the padding identities of the arrow
+    # go to idem's own identities on their images.
+    f = OmegaFunctor(
+        arrow_category(), idem_category(), {0: {"x": "o", "y": "o"}, 1: {"1x": "1o", "1y": "1o", "u": "f"}}
+    )
+    assert validate_functor(f).ok
+    inflated = inflate_functor(f, 2)
+    assert inflated.maps[2] == {"1(1x)": "11o", "1(1y)": "11o", "1(u)": "1f"}
+    assert validate_functor(inflated).ok
 
 
 def test_validate_flags_globularity():

@@ -1,6 +1,6 @@
 import pytest
 
-from polyconduche import terms
+from polyconduche import movements, terms
 from polyconduche.categories import OmegaFunctor, identity_functor
 from polyconduche.conduche import (
     FAIL,
@@ -195,32 +195,59 @@ def test_fiber_bijection_requires_exact_preimage():
         )
 
 
-@pytest.mark.parametrize(
-    "functor,representative,expected",
-    [
-        (
-            lambda: inflate_functor(dict(functor_corpus())["collapse-loop"], 2),
-            atom_word(GENERATOR, "1(u)"),
-            (FAIL, {"kind": "surjectivity", "unhit": "((c:1(s))*1((i:s)*0(i:s)))"}),
-        ),
-        (
-            lambda: dict(functor_corpus())["inflated-0"],
-            pair_word(atom_word(GENERATOR, "1(id_o0)"), 0, atom_word(GENERATOR, "1(id_o0)")),
-            (UNKNOWN, None),
-        ),
-    ],
-    ids=["surjectivity", "unknown"],
-)
-def test_fiber_bijection_outcomes(functor, representative, expected):
-    # sigma_c is the exact preimage of every target generator; the tight
-    # bounds leave the second query's memberships Unknown.
+FIBER_QUERIES = [
+    (
+        lambda: inflate_functor(dict(functor_corpus())["collapse-loop"], 2),
+        atom_word(GENERATOR, "1(u)"),
+        (FAIL, {"kind": "surjectivity", "unhit": "((c:1(s))*1((i:s)*0(i:s)))"}),
+    ),
+    (
+        lambda: dict(functor_corpus())["inflated-0"],
+        pair_word(atom_word(GENERATOR, "1(id_o0)"), 0, atom_word(GENERATOR, "1(id_o0)")),
+        (UNKNOWN, None),
+    ),
+]
+
+
+def fiber_query(functor, representative):
+    """The query at dimension 2 whose sigma_c is the exact preimage of every
+    target generator, under tight bounds."""
     m = morphism_from_functor(functor(), 2)
     sigma_d = sorted(m.target.generators)
     sigma_c = sorted(g for g in m.source.generators if m.phi.get(g) in sigma_d)
     query = FiberQuery(check_term(m.source, representative), sigma_c, sigma_d, 2)
-    bounds = SearchBounds(size_slack=0, max_steps=2, max_visited=30)
-    report = check_fiber_bijection(m, query, bounds)
+    return m, query, SearchBounds(size_slack=0, max_steps=2, max_visited=30)
+
+
+@pytest.mark.parametrize(
+    "functor,representative,expected", FIBER_QUERIES, ids=["surjectivity", "unknown"]
+)
+def test_fiber_bijection_outcomes(functor, representative, expected):
+    # The tight bounds leave the second query's memberships Unknown.
+    report = check_fiber_bijection(*fiber_query(functor, representative))
     assert (report.verdict, report.witness) == expected
+
+
+@pytest.mark.parametrize(
+    "functor,representative,expected,searches",
+    [(*query, searches) for query, searches in zip(FIBER_QUERIES, (8, 4))],
+    ids=["surjectivity", "unknown"],
+)
+def test_fiber_bijection_runs_each_search_once(
+    monkeypatch, functor, representative, expected, searches
+):
+    # Without the per-call memo the two queries ran 30 and 26 searches.
+    keys = []
+    search = movements._bidirectional_search
+
+    def recorded(extension, start, goal, size_cap, max_steps, max_visited, stats):
+        keys.append((id(extension), start.word, goal.word, size_cap, max_steps, max_visited))
+        return search(extension, start, goal, size_cap, max_steps, max_visited, stats)
+
+    monkeypatch.setattr(movements, "_bidirectional_search", recorded)
+    report = check_fiber_bijection(*fiber_query(functor, representative))
+    assert (report.verdict, report.witness) == expected
+    assert len(keys) == len(set(keys)) == searches
 
 
 def test_rigidity():

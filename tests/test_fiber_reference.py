@@ -1,7 +1,10 @@
 """The fiber route and the basis check against per-term oracles.
 
-`fiber_conduche` enumerates records of each word's value and image shape,
-read off its two factors, and builds a term only for a witness.
+`fiber_conduche` decides each level from classes of target words and lists
+records of each word's value and image shape, read off its two factors, only
+on a failing level and only up to the size of its witnesses; it builds a
+term only for a witness. The record loop at the full bound is the reference
+for the class route.
 `check_basis` enumerates records of each reduced word's value and atom
 sequence, decides NotBasis by generator multisets, and rebuilds terms only
 for a witness or an equivalence search. The oracles below do what they did
@@ -15,11 +18,13 @@ from random import Random
 
 import pytest
 
+from polyconduche import conduche
 from polyconduche.categories import SRC, TGT
 from polyconduche.conduche import (
     FAIL,
     PASS,
     ConducheReport,
+    _record_failures,
     fiber_conduche,
     full_extension,
     induced_word_map,
@@ -235,6 +240,48 @@ def test_fiber_conduche_matches_per_term_oracle(size_bound):
                 compositions = max(compositions, word.count("*"))
     assert verdicts == {PASS, FAIL}
     assert compositions >= min(size_bound, 2)
+
+
+def test_class_route_matches_full_bound_records():
+    # The records of every level at the full bound, cut to each up_to_dim.
+    compositions = 0
+    for name, functor in CORPUS + SEEDED:
+        top = min(functor.source.dimension, functor.target.dimension)
+        for size_bound in range(5):
+            levels = [_record_failures(functor, level, size_bound) for level in range(1, top + 1)]
+            for up_to_dim in [None, *range(functor.source.dimension + 1)]:
+                cut = top if up_to_dim is None else min(up_to_dim, top)
+                failures = [f for level in levels[:cut] for f in level]
+                expected = ConducheReport(FAIL if failures else PASS, failures).to_json()
+                got = fiber_conduche(functor, size_bound, up_to_dim).to_json()
+                assert got == expected, (name, size_bound, up_to_dim)
+            for failure in failures:
+                for word in failure.get("pair", [failure.get("unhit", "")]):
+                    compositions = max(compositions, word.count("*"))
+    assert compositions >= 2
+
+
+def test_class_route_lists_records_only_to_the_witness_size(monkeypatch):
+    # A passing functor lists no record; a failing corpus level lists them
+    # only to size 1, where its witnesses are.
+    listed = []
+    value_buckets = conduche._value_buckets
+
+    def counted(category, level, sigma, atom_key, shapes, max_size, *rest):
+        listed.append((level, max_size))
+        return value_buckets(category, level, sigma, atom_key, shapes, max_size, *rest)
+
+    monkeypatch.setattr(conduche, "_value_buckets", counted)
+    verdicts = set()
+    for name, functor in CORPUS:
+        listed.clear()
+        report = fiber_conduche(functor, 3)
+        verdicts.add(report.verdict)
+        failing = sorted({f["level"] for f in report.failures})
+        assert sorted({level for level, _ in listed}) == failing, name
+        assert len(listed) == 2 * len(failing), name
+        assert {size for _, size in listed} <= {1}, name
+    assert verdicts == {PASS, FAIL}
 
 
 def test_check_basis_matches_per_term_oracle():

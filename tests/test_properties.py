@@ -4,15 +4,18 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from polyconduche.conduche import full_extension
+from polyconduche.conduche import check_conduche, fiber_conduche, full_extension
 from polyconduche.fixtures import (
     arrow_category,
     chain3_extension,
     eh_extension,
     idem_category,
+    inflate_functor,
     loop_category,
     parallel_pair_category,
     path2_category,
+    random_dag_category,
+    random_functor,
 )
 from polyconduche.movements import (
     WITNESS,
@@ -112,3 +115,29 @@ def test_dimension_zero_normal_form_is_invariant_under_movements(pair):
         for step in outcome.witness.steps:
             replay = apply_movement(replay, step)
         assert replay.word == moved.word
+
+
+def dag_functors():
+    """A functor from a seeded free DAG category into loop, idem or path2,
+    inflated to dimension 2 or not."""
+
+    def build(target, seed, inflated):
+        rng = Random(seed)
+        source = random_dag_category(rng, max_objects=4, max_edges=4, max_paths=8)
+        functor = random_functor(rng, source, target())
+        return inflate_functor(functor, 2) if inflated else functor
+
+    return st.builds(
+        build,
+        st.sampled_from([loop_category, idem_category, path2_category]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(dag_functors())
+def test_fiber_route_agrees_with_the_table_route(functor):
+    # The paper's equivalence: a functor is discrete Conduché exactly when
+    # its words lift uniquely.
+    assert fiber_conduche(functor, 3).verdict == check_conduche(functor).verdict
