@@ -17,7 +17,6 @@ from .categories import (
 )
 from .conduche import (
     ExtensionMorphism,
-    FiberQuery,
     check_conduche,
     check_fiber_bijection,
     check_kappa,
@@ -52,7 +51,6 @@ __all__ = [
     "CellularExtension",
     "ElementaryMovement",
     "ExtensionMorphism",
-    "FiberQuery",
     "OmegaFunctor",
     "PolyconducheError",
     "PresentedCategory",

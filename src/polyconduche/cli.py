@@ -19,7 +19,6 @@ from dataclasses import asdict
 from .categories import validate_category, validate_functor
 from .conduche import (
     ExtensionMorphism,
-    FiberQuery,
     check_conduche,
     check_extension_morphism,
     check_fiber_bijection,
@@ -233,13 +232,7 @@ def cmd_conduche(args) -> int:
         if args.dim is not None:
             raise SchemaError("--dim needs a functor between categories")
         representative = check_term(obj.source, tokenize(args.at))
-        sigma_d = sorted(obj.target.generators)
-        chosen = set(sigma_d)
-        sigma_c = sorted(
-            g for g in obj.source.generators if obj.phi.get(g) in chosen
-        )
-        query = FiberQuery(representative, sigma_c, sigma_d, size_bound)
-        fiber = check_fiber_bijection(obj, query, _search_bounds(args))
+        fiber = check_fiber_bijection(obj, representative, size_bound, _search_bounds(args))
         report = fiber.to_json()
         report.update(
             {"mode": "fiber", "size_bound": size_bound, "at": args.at}
@@ -305,13 +298,7 @@ def cmd_basis(args) -> int:
 def cmd_transfer(args) -> int:
     obj = _load(args, args.functor, FUNCTOR, "transfer")
     if isinstance(obj, ExtensionMorphism):
-        top = obj.source.base.dimension + 1
-        chosen = set(obj.target.generators)
-        out = {
-            str(top): sorted(
-                g for g in obj.source.generators if obj.phi.get(g) in chosen
-            )
-        }
+        out = {str(obj.source.base.dimension + 1): sorted(obj.source.generators)}
     else:
         if obj.target.basis is not None:
             sigma_d = obj.target.basis

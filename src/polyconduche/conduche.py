@@ -238,17 +238,6 @@ def induced_movement(
 
 
 @dataclass
-class FiberQuery:
-    """One fiber to compare: the equivalence class of the representative
-    term `a`, over the chosen source and target generators."""
-
-    a: Term
-    sigma_c: list[str]
-    sigma_d: list[str]
-    size_bound: int
-
-
-@dataclass
 class FiberReport:
     verdict: str
     witness: dict | None = None
@@ -260,45 +249,32 @@ class FiberReport:
         return out
 
 
-def _restrict_generators(
-    extension: CellularExtension, sigma: list[str]
-) -> CellularExtension:
-    missing = [g for g in sigma if g not in extension.generators]
-    if missing:
-        raise SchemaError(f"{missing[0]!r} is not a generator of the extension")
-    return CellularExtension(
-        extension.base, {g: extension.generators[g] for g in sigma}
-    )
-
-
 def check_fiber_bijection(
-    morphism: ExtensionMorphism, query: FiberQuery, bounds: SearchBounds | None = None
+    morphism: ExtensionMorphism, a: Term, size_bound: int, bounds: SearchBounds | None = None
 ) -> FiberReport:
-    """Is the induced word map a bijection on this fiber, up to the bound?
+    """Is the induced word map a bijection on the fiber of the equivalence
+    class of a, over the words of size up to size_bound?
 
-    Membership of a candidate word in the fiber is decided by bounded
-    equivalence search against the representative or its image, so an
-    Unknown membership contaminates the verdict unless a definite
+    The morphism is one that check_extension_morphism accepts: every source
+    generator maps to a target generator, so the fiber covers every
+    generator of both sides. Each side's candidates come in generator name
+    order, whatever order the extensions declare, so witnesses do not
+    depend on it. Membership of a candidate word in the fiber is decided by
+    bounded equivalence search against the representative or its image, so
+    an Unknown membership contaminates the verdict unless a definite
     injectivity collision was already found. Members are compared by their
     image words. Each side keeps a search memo for this call (see
     equivalent), so candidates that normalise alike share one search.
     """
-    sigma_d = set(query.sigma_d)
-    preimage = sorted(
-        g for g in morphism.source.generators if morphism.phi.get(g) in sigma_d
-    )
-    if preimage != sorted(set(query.sigma_c)):
-        raise SchemaError("the source generator set is not the exact preimage")
-
-    ext_c = _restrict_generators(morphism.source, sorted(set(query.sigma_c)))
-    ext_d = _restrict_generators(morphism.target, sorted(sigma_d))
-    rep_image = induced_term(morphism, query.a)
+    ext_c = CellularExtension(morphism.source.base, dict(sorted(morphism.source.generators.items())))
+    ext_d = CellularExtension(morphism.target.base, dict(sorted(morphism.target.generators.items())))
+    rep_image = induced_term(morphism, a)
 
     unknown_src = False
     seen: dict[tuple, Term] = {}
     memo: dict = {}
-    for candidate in enumerate_terms(ext_c, query.size_bound)[0]:
-        verdict = equivalent(ext_c, candidate, query.a, bounds, memo).verdict
+    for candidate in enumerate_terms(ext_c, size_bound)[0]:
+        verdict = equivalent(ext_c, candidate, a, bounds, memo).verdict
         if verdict != WITNESS:
             unknown_src = unknown_src or verdict != DISTINCT
             continue
@@ -317,7 +293,7 @@ def check_fiber_bijection(
     unknown_tgt = False
     unhit: list[Term] = []
     memo = {}
-    for candidate in enumerate_terms(ext_d, query.size_bound)[0]:
+    for candidate in enumerate_terms(ext_d, size_bound)[0]:
         verdict = equivalent(ext_d, candidate, rep_image, bounds, memo).verdict
         unknown_tgt = unknown_tgt or verdict not in (WITNESS, DISTINCT)
         if verdict == WITNESS and candidate.word.tokens not in seen:
@@ -442,12 +418,16 @@ def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list
     interned per level. The induced word map being token-wise, two words
     have the same image word exactly when their ids are equal, so each
     fiber comparison is a dictionary pass over ints. The records read the
-    categories' own tables; an extension is built, and a term rebuilt over
-    it, only to spell a witness.
+    categories' own tables; a term is rebuilt only to spell a witness, over
+    the one extension of its category that the first witness builds.
     """
+    extensions: dict[int, CellularExtension] = {}
 
     def spell(category: PresentedCategory, record: tuple) -> str:
-        return _term_of(full_extension(category, level), record).serialize()
+        extension = extensions.get(id(category))
+        if extension is None:
+            extension = extensions[id(category)] = full_extension(category, level)
+        return _term_of(extension, record).serialize()
 
     shapes: dict[tuple, int] = {}
     src_buckets, _ = _value_buckets(

@@ -15,7 +15,6 @@ from polyconduche.conduche import (
     FAIL,
     PASS,
     UNKNOWN as CONDUCHE_UNKNOWN,
-    FiberQuery,
     check_conduche,
     check_fiber_bijection,
     check_kappa,
@@ -121,9 +120,7 @@ def test_criterion_2_collapse_morphism_fails_fiber_injectivity():
     problems: list[str] = []
     morphism = eh_morphism()
     representative = check_term(morphism.source, tokenize(BRAID_LEFT))
-    report = check_fiber_bijection(
-        morphism, FiberQuery(representative, ["a", "b"], ["c"], 1)
-    )
+    report = check_fiber_bijection(morphism, representative, 1)
     if report.verdict != FAIL:
         problems.append(f"verdict {report.verdict}")
     elif set(report.witness["pair"]) != {BRAID_LEFT, BRAID_RIGHT}:

@@ -365,6 +365,22 @@ def test_transfer_on_a_morphism_lists_generator_preimages(capsys):
     assert json.loads(out) == {"2": ["a", "b"]}
 
 
+def test_morphism_commands_list_generators_in_name_order(capsys, tmp_path):
+    # The copy's source extension declares b before a; fibers and transfers
+    # still list the generators, and so the witness pair, in name order.
+    for name in ("eh.fun.json", "ehc.ext.json", "terminal.cat.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    doc = json.loads(Path(EH).read_text())
+    doc["generators"].reverse()
+    assert [g["name"] for g in doc["generators"]] == ["b", "a"]
+    (tmp_path / "eh.ext.json").write_text(json.dumps(doc))
+    copy = str(tmp_path / "eh.fun.json")
+    for args in (["conduche", "--mode", "fiber", "--at", BRAID_LEFT, "--size-bound", "1"],
+                 ["transfer"]):
+        shipped = run_cli([args[0], EH_FUN, *args[1:]], capsys)
+        assert run_cli([args[0], copy, *args[1:]], capsys) == shipped
+
+
 def test_slice_prints_the_sliced_category(capsys, tmp_path):
     target = tmp_path / "projection.json"
     code, out = run_cli(

@@ -1,0 +1,58 @@
+"""Static checks on the package source, read with ast and never imported:
+importing __main__ would run the command line."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyconduche"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def exported(tree):
+    """The names listed in the module's __all__, empty when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def imported(tree):
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def test_every_exported_name_exists():
+    tree = parse(PACKAGE / "__init__.py")
+    bound = set(imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    names = exported(tree)
+    assert names
+    assert [name for name in names if name not in bound] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(exported(tree))
+    unused = [f"{name} (line {line})" for name, line in imported(tree).items() if name not in used]
+    assert unused == []
