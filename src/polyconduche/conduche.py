@@ -337,9 +337,12 @@ def fiber_conduche(
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
+    maps = tuple(
+        (boundary_maps(c, SRC), boundary_maps(c, TGT)) for c in (functor.source, functor.target)
+    )
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
-        classes = _fiber_classes(functor, level, size_bound)
+        classes = _fiber_classes(functor, level, size_bound, maps)
         witness_sizes = []
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
@@ -349,11 +352,11 @@ def fiber_conduche(
             if sizes:
                 witness_sizes.append(min(sizes))
         if witness_sizes:
-            failures += _record_failures(functor, level, max(witness_sizes))
+            failures += _record_failures(functor, level, max(witness_sizes), maps)
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
-def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[tuple]:
+def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int, maps: tuple) -> list[tuple]:
     """The classes of the level's target words of size up to size_bound, as
     (target value, N, least size); N maps each source value v to the number
     of source words over the target word with value v, capped at 2 and left
@@ -361,11 +364,12 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[t
 
     A composite's class depends only on its factors' classes and its size is
     theirs plus one, so a class of least size s comes from factor classes
-    at their least sizes s1 + s2 = s - 1: only those are combined.
+    at their least sizes s1 + s2 = s - 1: only those are combined. maps are
+    the (source, target) boundary_maps of the functor's source and of its
+    target.
     """
     source, target = functor.source, functor.target
-    src_sources, src_targets = boundary_maps(source, SRC), boundary_maps(source, TGT)
-    tgt_sources, tgt_targets = boundary_maps(target, SRC), boundary_maps(target, TGT)
+    (src_sources, src_targets), (tgt_sources, tgt_targets) = maps
 
     def add(counts: dict, value: str, n: int) -> None:
         counts[value] = min(2, counts.get(value, 0) + n)
@@ -408,7 +412,9 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[t
     return [(value, dict(counts), size) for (value, counts), size in least.items()]
 
 
-def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list[dict]:
+def _record_failures(
+    functor: OmegaFunctor, level: int, size_bound: int, maps: tuple = (None, None)
+) -> list[dict]:
     """The failures of one level, from the words of both sides up to the
     size bound.
 
@@ -419,7 +425,8 @@ def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list
     have the same image word exactly when their ids are equal, so each
     fiber comparison is a dictionary pass over ints. The records read the
     categories' own tables; a term is rebuilt only to spell a witness, over
-    the one extension of its category that the first witness builds.
+    the one extension of its category that the first witness builds. maps,
+    when given, are as for _fiber_classes.
     """
     extensions: dict[int, CellularExtension] = {}
 
@@ -432,11 +439,11 @@ def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list
     shapes: dict[tuple, int] = {}
     src_buckets, _ = _value_buckets(
         functor.source, level, functor.source.cells.get(level, []),
-        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
+        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound, maps=maps[0],
     )
     tgt_buckets, _ = _value_buckets(
         functor.target, level, functor.target.cells.get(level, []),
-        lambda atom: atom, shapes, size_bound,
+        lambda atom: atom, shapes, size_bound, maps=maps[1],
     )
     failures: list[dict] = []
     for a in functor.source.cells.get(level, []):

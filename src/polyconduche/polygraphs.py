@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
+from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, boundary_maps, is_degenerate
 from .errors import NotSurjective, SchemaError
 from .movements import SearchBounds, WITNESS, equivalent
 from .terms import GENERATOR, IDENTITY, _term_of, _value_buckets, restriction_extension
@@ -106,7 +106,7 @@ def _reachable_values(
 
 def _reduced_records(category: PresentedCategory, level: int):
     """The _value_buckets filter for words with no removable unit factor and
-    no mergeable identity pair.
+    no mergeable identity pair; it also filters the classes of _split_size.
 
     Every word is connected to such a representative of the same or smaller
     size, so checking connectivity on these alone decides it for the full
@@ -131,14 +131,92 @@ def _reduced_records(category: PresentedCategory, level: int):
     return admit
 
 
-def _basis_records(category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count):
+def _split_size(
+    category: PresentedCategory, level: int, sigma: list[str], size_bound: int, maps: tuple
+) -> int | None:
+    """s*: the least size at which the first cell, in cells order, whose
+    reduced words over sigma of size up to size_bound have two generator
+    multisets gets its second one; None when no cell has two. maps are the
+    category's (source, target) boundary_maps.
+
+    No word is listed: as in conduche._fiber_classes, classes of words are
+    built bottom-up, each at its least size. Each atom is its own class,
+    because the reduced filter reads identity atoms by name. A composite's
+    class is (value, generator multiset): the filter sees only that it is
+    not an atom, whether it composes depends on its value, and a composite's
+    value and multiset are functions of its factors'. So a class of least
+    size s comes from factor classes at least sizes adding up to s - 1, and
+    only those are combined.
+
+    The cap of two composite classes a value keeps, the first found in size
+    order, is exact. A composite over a dropped class has two multisets
+    anyway: that class's value kept two composite classes of no greater
+    size, which the filter and composability treat alike, so with the same
+    partner they give two multisets at no greater size. Any other composite
+    is built from kept classes, so a value with fewer than two classes has
+    them all. By induction on size, each value keeps min(2, n) of its n
+    composite classes of size up to s, at their true least sizes.
+
+    So s* is the true least split size: a cell's is the second smallest
+    least size over its distinct multisets, which is 0 when its atoms have
+    two, and otherwise that of one of its first two composite classes.
+    """
+    sources, targets = maps
+    admit = _reduced_records(category, level)
+    composites = [category.comp.get((level, k), {}) for k in range(level)]
+    units = category.ids[level - 1]
+    # Classes are shaped for admit as records are: (value, multiset, atom,
+    # None) for an atom, (value, multiset, None, k) for a composite.
+    atoms = [(name, (name,), (GENERATOR, name), None) for name in sigma]
+    atoms += [(units[x], (), (IDENTITY, x), None) for x in category.cells.get(level - 1, [])]
+    least: dict[str, dict[tuple, int]] = {}  # value -> multiset -> least size
+    for value, multiset, _, _ in atoms:
+        least.setdefault(value, {})[multiset] = 0
+    kept: dict[str, set] = {}  # value -> its composite classes' multisets
+    by_size = [atoms]
+    by_target: dict[tuple[int, int], dict] = {}  # (size, k) -> classes by k-target
+    for size in range(1, size_bound + 1):
+        if not any(by_size[size // 2:]):
+            break  # a pair of this size or more has a factor of an empty size
+        layer = []
+        for k in range(level):
+            for left_size in range(size):
+                right_size = size - 1 - left_size
+                partners = by_target.get((right_size, k))
+                if partners is None:
+                    partners = by_target[(right_size, k)] = {}
+                    for right in by_size[right_size]:
+                        partners.setdefault(targets[k][right[0]], []).append(right)
+                for left in by_size[left_size]:
+                    for right in partners.get(sources[k][left[0]], ()):
+                        if not admit(left, k, right):
+                            continue
+                        pair = left[0], right[0]
+                        value = composites[k].get(pair) or category.compose(*pair, k)
+                        multiset = tuple(sorted(left[1] + right[1]))
+                        classes = kept.setdefault(value, set())
+                        if len(classes) < 2 and multiset not in classes:
+                            classes.add(multiset)
+                            least.setdefault(value, {}).setdefault(multiset, size)
+                            layer.append((value, multiset, None, k))
+        by_size.append(layer)
+    for a in category.cells.get(level, []):
+        sizes = sorted(least.get(a, {}).values())
+        if len(sizes) > 1:
+            return sizes[1]
+    return None
+
+
+def _basis_records(
+    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps=None
+):
     """The reduced words over sigma as terms._value_buckets records, with the
     truncation flag and, by shape id, each word's atoms (kind, name), left to
     right, which re-association leaves fixed."""
     shapes: dict[tuple, int] = {}
     buckets, truncated = _value_buckets(
         category, level, sigma, lambda atom: (atom,), shapes, size_bound, max_count,
-        _reduced_records(category, level),
+        _reduced_records(category, level), maps,
     )
     atoms: list[tuple] = []
     for key in shapes:  # factors are numbered before the words they make
@@ -154,17 +232,31 @@ def check_basis(
 ) -> BasisVerdict:
     """Is sigma a basis for the category's level-cells?
 
-    Missing preimages are proven via the exact closure. The reduced preimage
-    words of each cell are enumerated as records (_basis_records). Preimages
-    of one cell share their boundaries, so the equivalence search tells two
-    apart only by their generator multisets: the first cell whose preimages
-    have two multisets is a proven basis failure. Otherwise the search
-    compares each cell's preimages with its first, and an Unknown leaves the
-    cell unresolved; at level 1 no reduced word but an atom holds an
-    identity, so words with the same atoms are equivalent by re-association
-    and are not searched. Terms are built only for these. When the max_terms
-    cap cut the enumeration short, unresolved ends with
-    "<enumeration truncated>", whatever cells it lists.
+    Missing preimages are proven via the exact closure. Preimages of one
+    cell share their boundaries, so the equivalence search tells two apart
+    only by their generator multisets: the first cell whose reduced
+    preimage words have two multisets is a proven basis failure. A class
+    pass (_split_size), which lists no word, finds that cell and s*, the
+    least size at which it has two. When there is one, the reduced words
+    are enumerated as records (_basis_records) only up to s*, and the first
+    record of the first cell with records of two multisets, and the first
+    of that cell's records with another multiset than it, give the witness
+    pair. Records come smallest first, so every bucket up to s* is a prefix
+    of the bucket at the full bound. A max_terms cut that leaves out a word
+    of size up to s* falls at the same record in both enumerations, which
+    then keep the same records; any other cut keeps every word up to s*. No
+    cell before the split cell has two multisets within the bound, and the
+    split cell has its second one by s*. So the first record and the first
+    with another multiset are the ones the full bound gives, and so are the
+    witness's bytes.
+
+    Otherwise the records go up to the full bound, and the search compares
+    each cell's preimages with its first; an Unknown leaves the cell
+    unresolved. At level 1 no reduced word but an atom holds an identity,
+    so words with the same atoms are equivalent by re-association and are
+    not searched. Terms, and the extension they live in, are built only for
+    a witness or a search. When the max_terms cap cut the enumeration short,
+    unresolved ends with "<enumeration truncated>", whatever cells it lists.
     """
     bounds = bounds or BasisBounds()
     if not 1 <= level <= category.dimension:
@@ -184,8 +276,18 @@ def check_basis(
     size_bound = bounds.word_size
     if size_bound is None:
         size_bound = default_word_bound(category, level)
-    extension = restriction_extension(category, level, sigma)
-    buckets, truncated, atoms = _basis_records(category, level, sigma, size_bound, bounds.max_terms)
+    maps = (boundary_maps(category, SRC), boundary_maps(category, TGT))
+    split = _split_size(category, level, sigma, size_bound, maps)
+    buckets, truncated, atoms = _basis_records(
+        category, level, sigma, size_bound if split is None else split, bounds.max_terms, maps
+    )
+    extension = None
+
+    def term(record: tuple):
+        nonlocal extension
+        if extension is None:
+            extension = restriction_extension(category, level, sigma)
+        return _term_of(extension, record)
 
     def multiset(record: tuple) -> list[str]:
         return sorted(name for kind, name in atoms[record[1]] if kind == GENERATOR)
@@ -194,16 +296,17 @@ def check_basis(
         first, *others = buckets.get(a) or [None]
         for record in others:
             if atoms[record[1]] != atoms[first[1]] and multiset(record) != multiset(first):
-                pair = [_term_of(extension, r).serialize() for r in (first, record)]
+                pair = [term(r).serialize() for r in (first, record)]
                 return BasisVerdict(NOT_BASIS, {"kind": "DisconnectedPair", "pair": pair, "cell": a})
 
     def connected(preimages: list[tuple]) -> bool:
         first = preimages[0]
         searched = [r for r in preimages[1:] if level > 1 or atoms[r[1]] != atoms[first[1]]]
-        representative = _term_of(extension, first) if searched else None
+        if not searched:
+            return True
+        representative = term(first)
         return all(
-            equivalent(extension, _term_of(extension, r), representative, bounds.search).verdict
-            == WITNESS
+            equivalent(extension, term(r), representative, bounds.search).verdict == WITNESS
             for r in searched
         )
 

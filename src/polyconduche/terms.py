@@ -661,7 +661,7 @@ def _enumerate(
 
 def _value_buckets(
     category: PresentedCategory, level: int, sigma: list[str], atom_key, shapes: dict,
-    max_size: int, max_count: int | None = None, admit=None,
+    max_size: int, max_count: int | None = None, admit=None, maps: tuple | None = None,
 ) -> tuple[dict[str, list[tuple]], bool]:
     """The words of enumerate_terms(restriction_extension(category, level,
     sigma), max_size, max_count) as records (value, shape id, left, k, right)
@@ -671,8 +671,9 @@ def _value_buckets(
     lists them. Shapes are numbered in `shapes`, factors first: an atom's is
     atom_key((kind, name)), a composite's (left id, k, right id). Factors
     meet when their values' boundaries do, which in a valid category is when
-    their terms' do. admit, when given, filters pairs of records."""
-    sources, targets = boundary_maps(category, SRC), boundary_maps(category, TGT)
+    their terms' do. admit, when given, filters pairs of records. maps, when
+    given, are the category's (source, target) boundary_maps."""
+    sources, targets = maps or (boundary_maps(category, SRC), boundary_maps(category, TGT))
     units = category.ids[level - 1]
     composites = [category.comp.get((level, k), {}) for k in range(level)]
 

@@ -13,6 +13,7 @@ from its atoms, relabel every source word token by token and compare every
 preimage with `equivalent`. Verdicts and witnesses must agree exactly.
 """
 
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -31,9 +32,12 @@ from polyconduche.conduche import (
     morphism_from_functor,
 )
 from polyconduche.fixtures import (
+    arrow_category,
     functor_corpus,
     idem_category,
     loop_category,
+    parallel_pair_category,
+    path2_category,
     random_dag_category,
     random_functor,
 )
@@ -160,17 +164,19 @@ def oracle_fiber_conduche(functor, size_bound):
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
-def oracle_check_basis(category, level, sigma):
-    """check_basis with every reduced preimage word evaluated on its own."""
-    bounds = BasisBounds()
+def oracle_check_basis(category, level, sigma, bounds=None):
+    """check_basis with every reduced preimage word, up to the full bound,
+    evaluated on its own."""
+    bounds = bounds or BasisBounds()
     reachable = _reachable_values(category, level, sigma)
     for a in category.cells.get(level, []):
         if a not in reachable:
             return BasisVerdict(NOT_BASIS, {"kind": "MissingPreimage", "cell": a})
     extension = restriction_extension(category, level, sigma)
-    terms, truncated = plain_enumeration(
-        extension, default_word_bound(category, level), bounds.max_terms, reduced=True
-    )
+    size_bound = bounds.word_size
+    if size_bound is None:
+        size_bound = default_word_bound(category, level)
+    terms, truncated = plain_enumeration(extension, size_bound, bounds.max_terms, reduced=True)
     buckets = {}
     for term in terms:
         buckets.setdefault(evaluate(category, sigma, term), []).append(term)
@@ -267,9 +273,9 @@ def test_class_route_lists_records_only_to_the_witness_size(monkeypatch):
     listed = []
     value_buckets = conduche._value_buckets
 
-    def counted(category, level, sigma, atom_key, shapes, max_size, *rest):
+    def counted(category, level, sigma, atom_key, shapes, max_size, *rest, **options):
         listed.append((level, max_size))
-        return value_buckets(category, level, sigma, atom_key, shapes, max_size, *rest)
+        return value_buckets(category, level, sigma, atom_key, shapes, max_size, *rest, **options)
 
     monkeypatch.setattr(conduche, "_value_buckets", counted)
     verdicts = set()
@@ -299,6 +305,59 @@ def test_check_basis_matches_per_term_oracle():
                 assert got == expected, (name, level, sigma)
                 verdicts.add(expected["verdict"])
     assert BASIS in verdicts and NOT_BASIS in verdicts
+
+
+def level_subsets():
+    """(name, category, level, sigma) for every subset sigma of every level's
+    cells of the small fixtures and of one inflated corpus source."""
+    categories = [
+        ("path2", path2_category()),
+        ("arrow", arrow_category()),
+        ("loop", loop_category()),
+        ("idem", idem_category()),
+        ("parallel-pair", parallel_pair_category()),
+        ("inflated-0.source", dict(CORPUS)["inflated-0"].source),
+    ]
+    out = []
+    for name, category in categories:
+        for level in range(1, category.dimension + 1):
+            cells = category.cells[level]
+            for r in range(len(cells) + 1):
+                for sigma in combinations(cells, r):
+                    out.append((name, category, level, list(sigma)))
+    return out
+
+
+def test_check_basis_matches_full_bound_oracle_on_every_subset():
+    # The class pass lists records only up to the split size; the oracle
+    # enumerates every reduced word up to the full bound. A small max_terms
+    # cuts the enumeration below some witnesses, a larger one above them.
+    cut_below = cut_above = False
+    verdicts = set()
+    for name, category, level, sigma in level_subsets():
+        for word_size in (0, 1, 2, 3, 4, None):
+            outcomes = []
+            for max_terms in (200_000, 3, 12):
+                bounds = BasisBounds(word_size=word_size, max_terms=max_terms)
+                expected = oracle_check_basis(category, level, sigma, bounds).to_json()
+                got = check_basis(category, level, sigma, bounds).to_json()
+                assert got == expected, (name, level, sigma, word_size, max_terms)
+                outcomes.append(expected)
+                verdicts.add(expected["verdict"])
+            full, low, high = outcomes
+            if full.get("witness", {}).get("kind") == "DisconnectedPair":
+                cut_below = cut_below or low["verdict"] == UNKNOWN
+                if not cut_above and high == full:
+                    cut_above = too_many(category, level, sigma, word_size, 12)
+    assert verdicts == {BASIS, NOT_BASIS, UNKNOWN}
+    assert cut_below and cut_above
+
+
+def too_many(category, level, sigma, word_size, max_terms):
+    """More reduced words within the bound than max_terms."""
+    size_bound = default_word_bound(category, level) if word_size is None else word_size
+    extension = restriction_extension(category, level, sigma)
+    return plain_enumeration(extension, size_bound, max_terms, reduced=True)[1]
 
 
 @pytest.mark.parametrize("category", [c for _, c in CATEGORIES], ids=[n for n, _ in CATEGORIES])

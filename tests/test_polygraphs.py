@@ -170,20 +170,46 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
     calls = {"equivalent": 0, "_term_of": 0}
     for function in calls:
         monkeypatch.setattr(polygraphs, function, counting(calls, function))
-    # The records read the category's tables: the extension's ParseTables
-    # are built only when a term is rebuilt over it.
-    parsed = []
-    build = terms.ParseTables
-
-    def counted(extension):
-        parsed.append(extension)
-        return build(extension)
-
-    monkeypatch.setattr(terms, "ParseTables", counted)
+    # The records read the category's tables: the extension, a truncated
+    # copy of the category, and its ParseTables are built only when a term
+    # is rebuilt over it.
+    built = {"ParseTables": 0, "truncate": 0}
+    for function in built:
+        monkeypatch.setattr(terms, function, counting(built, function, terms))
     verdict = check_basis(category, 1, sigma)
     assert verdict.verdict == expected
     assert calls == {"equivalent": 0, "_term_of": rebuilt}
-    assert len(parsed) == {"chain7": 0, "path2-all": 1}[name]
+    expected_built = {"chain7": 0, "path2-all": 1}[name]
+    assert built == {"ParseTables": expected_built, "truncate": expected_built}
+
+
+def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
+    # path2 with every 1-cell as a generator splits on two atoms, (c:1x) and
+    # (i:x); a Basis verdict lists to the full bound; a missing preimage is
+    # proven by closure, with no record.
+    listed = []
+    value_buckets = polygraphs._value_buckets
+
+    def counted(category, level, sigma, atom_key, shapes, max_size, *rest):
+        listed.append(max_size)
+        return value_buckets(category, level, sigma, atom_key, shapes, max_size, *rest)
+
+    monkeypatch.setattr(polygraphs, "_value_buckets", counted)
+    path2 = path2_category()
+    verdict = check_basis(path2, 1, list(path2.cells[1]))
+    assert verdict.witness == {"kind": "DisconnectedPair", "pair": ["(c:1x)", "(i:x)"], "cell": "1x"}
+    assert listed == [0]
+
+    listed.clear()
+    edges = [(f"e{i}", f"p{i - 1}", f"p{i}") for i in range(1, 8)]
+    chain7 = free_category_on_dag([f"p{i}" for i in range(8)], edges).category
+    assert check_basis(chain7, 1, list(chain7.basis[1])).verdict == BASIS
+    assert listed == [default_word_bound(chain7, 1)] == [8]
+
+    listed.clear()
+    verdict = check_basis(path2, 1, ["f"])
+    assert verdict.witness["kind"] == "MissingPreimage"
+    assert listed == []
 
 
 def test_level_two_words_with_the_same_atoms_are_searched():
@@ -209,9 +235,9 @@ def test_level_two_words_with_the_same_atoms_are_searched():
     assert check_basis(category, 2, ["a"], BasisBounds(word_size=1)).verdict == BASIS
 
 
-def counting(calls, name):
-    """polygraphs' function `name`, counting its calls in calls[name]."""
-    function = getattr(polygraphs, name)
+def counting(calls, name, module=polygraphs):
+    """The module's function `name`, counting its calls in calls[name]."""
+    function = getattr(module, name)
 
     def counted(*args):
         calls[name] += 1

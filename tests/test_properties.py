@@ -4,7 +4,7 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from polyconduche.conduche import check_conduche, fiber_conduche, full_extension
+from polyconduche.conduche import PASS, check_conduche, fiber_conduche, full_extension
 from polyconduche.fixtures import (
     arrow_category,
     chain3_extension,
@@ -25,6 +25,7 @@ from polyconduche.movements import (
     equivalent,
     reduce,
 )
+from polyconduche.polygraphs import BASIS, NOT_BASIS, check_basis, indecomposables, transfer_basis
 from polyconduche.terms import check_term, generator_multiset, random_term
 from polyconduche.words import tokenize
 
@@ -141,3 +142,21 @@ def test_fiber_route_agrees_with_the_table_route(functor):
     # The paper's equivalence: a functor is discrete Conduché exactly when
     # its words lift uniquely.
     assert fiber_conduche(functor, 3).verdict == check_conduche(functor).verdict
+
+
+@settings(derandomize=True, max_examples=300)
+@given(dag_functors())
+def test_conduche_functors_pull_bases_back_to_bases(functor):
+    # The paper's main theorem: along a discrete Conduche functor the
+    # preimage of a basis is a basis. Bounded checks may answer Unknown,
+    # never NotBasis.
+    if check_conduche(functor).verdict != PASS:
+        return
+    source, target = functor.source, functor.target
+    sigma = target.basis or {
+        dim: sorted(indecomposables(target, dim)) for dim in range(target.dimension + 1)
+    }
+    transferred = transfer_basis(functor, sigma)
+    for level in range(1, min(source.dimension, target.dimension) + 1):
+        if check_basis(target, level, sigma[level]).verdict == BASIS:
+            assert check_basis(source, level, transferred[level]).verdict != NOT_BASIS
