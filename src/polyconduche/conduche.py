@@ -29,6 +29,7 @@ from .terms import (
     IDENTITY,
     CellularExtension,
     Term,
+    _enumerate,
     _term_of,
     _value_buckets,
     check_term,
@@ -362,59 +363,53 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int, maps: tup
     of source words over the target word with value v, capped at 2 and left
     out at 0.
 
-    A composite's class depends only on its factors' classes and its size is
-    theirs plus one, so a class of least size s comes from factor classes
-    at their least sizes s1 + s2 = s - 1: only those are combined. maps are
-    the (source, target) boundary_maps of the functor's source and of its
-    target.
+    A composite's class depends only on its factors' classes and k, so the
+    classes are listed by terms._enumerate, each once, at its least size.
+    maps are the (source, target) boundary_maps of the functor's source and
+    of its target.
     """
     source, target = functor.source, functor.target
     (src_sources, src_targets), (tgt_sources, tgt_targets) = maps
+    src_comp = [source.comp.get((level, k), {}) for k in range(level)]
+    tgt_comp = [target.comp.get((level, k), {}) for k in range(level)]
 
-    def add(counts: dict, value: str, n: int) -> None:
-        counts[value] = min(2, counts.get(value, 0) + n)
-
-    atoms: dict[tuple, dict] = {}  # target atom (kind, name) -> its N
+    # Target atom (kind, name) -> its N: each source generator and unit is
+    # one word, over the atom its image names.
+    atoms: dict[tuple, dict] = {}
     for x in source.cells.get(level, []):
-        add(atoms.setdefault((GENERATOR, functor.apply(x)), {}), x, 1)
+        atoms.setdefault((GENERATOR, functor.apply(x)), {})[x] = 1
     for y in source.cells.get(level - 1, []):
-        add(atoms.setdefault((IDENTITY, functor.apply(y)), {}), source.ids[level - 1][y], 1)
-    layer = {}
+        atoms.setdefault((IDENTITY, functor.apply(y)), {})[source.ids[level - 1][y]] = 1
+    least: dict[tuple, int] = {}  # (value, N as frozen items) -> least size
     for y in target.cells.get(level, []):
-        layer[(y, frozenset(atoms.get((GENERATOR, y), {}).items()))] = 0
+        least[(y, frozenset(atoms.get((GENERATOR, y), {}).items()))] = 0
     for z in target.cells.get(level - 1, []):
         preimages = atoms.get((IDENTITY, z), {})
-        layer.setdefault((target.ids[level - 1][z], frozenset(preimages.items())), 0)
-    least = dict(layer)
-    by_size = [list(layer)]
-    for size in range(1, size_bound + 1):
-        layer = {}
-        for k in range(level):
-            src_comp = source.comp.get((level, k), {})
-            tgt_comp = target.comp.get((level, k), {})
-            for left_size in range(size):
-                partners: dict[str, list] = {}
-                for right in by_size[size - 1 - left_size]:
-                    partners.setdefault(tgt_targets[k][right[0]], []).append(right)
-                for w1, n1 in by_size[left_size]:
-                    for w2, n2 in partners.get(tgt_sources[k][w1], ()):
-                        counts: dict[str, int] = {}
-                        for v1, c1 in n1:
-                            for v2, c2 in n2:
-                                if src_sources[k][v1] == src_targets[k][v2]:
-                                    value = src_comp.get((v1, v2)) or source.compose(v1, v2, k)
-                                    add(counts, value, c1 * c2)
-                        value = tgt_comp.get((w1, w2)) or target.compose(w1, w2, k)
-                        key = (value, frozenset(counts.items()))
-                        if key not in least:
-                            least[key] = layer[key] = size
-        by_size.append(list(layer))
+        least.setdefault((target.ids[level - 1][z], frozenset(preimages.items())), 0)
+
+    def pair(left: tuple, k: int, right: tuple) -> tuple | None:
+        sources, targets, table = src_sources[k], src_targets[k], src_comp[k]
+        counts: dict[str, int] = {}
+        for v1, c1 in left[1]:
+            for v2, c2 in right[1]:
+                if sources[v1] == targets[v2]:
+                    value = table.get((v1, v2)) or source.compose(v1, v2, k)
+                    counts[value] = min(2, counts.get(value, 0) + c1 * c2)
+        w1, w2 = left[0], right[0]
+        key = (tgt_comp[k].get((w1, w2)) or target.compose(w1, w2, k), frozenset(counts.items()))
+        if key in least:
+            return None
+        least[key] = least[left] + least[right] + 1
+        return key
+
+    _enumerate(
+        list(least), level - 1, lambda c, k: tgt_sources[k][c[0]],
+        lambda c, k: tgt_targets[k][c[0]], pair, size_bound,
+    )
     return [(value, dict(counts), size) for (value, counts), size in least.items()]
 
 
-def _record_failures(
-    functor: OmegaFunctor, level: int, size_bound: int, maps: tuple = (None, None)
-) -> list[dict]:
+def _record_failures(functor: OmegaFunctor, level: int, size_bound: int, maps: tuple) -> list[dict]:
     """The failures of one level, from the words of both sides up to the
     size bound.
 
@@ -425,8 +420,8 @@ def _record_failures(
     have the same image word exactly when their ids are equal, so each
     fiber comparison is a dictionary pass over ints. The records read the
     categories' own tables; a term is rebuilt only to spell a witness, over
-    the one extension of its category that the first witness builds. maps,
-    when given, are as for _fiber_classes.
+    the one extension of its category that the first witness builds. maps
+    are as for _fiber_classes.
     """
     extensions: dict[int, CellularExtension] = {}
 
@@ -439,11 +434,11 @@ def _record_failures(
     shapes: dict[tuple, int] = {}
     src_buckets, _ = _value_buckets(
         functor.source, level, functor.source.cells.get(level, []),
-        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound, maps=maps[0],
+        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound, maps[0],
     )
     tgt_buckets, _ = _value_buckets(
         functor.target, level, functor.target.cells.get(level, []),
-        lambda atom: atom, shapes, size_bound, maps=maps[1],
+        lambda atom: atom, shapes, size_bound, maps[1],
     )
     failures: list[dict] = []
     for a in functor.source.cells.get(level, []):

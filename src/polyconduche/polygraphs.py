@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, boundary_maps, is_degenerate
 from .errors import NotSurjective, SchemaError
 from .movements import SearchBounds, WITNESS, equivalent
-from .terms import GENERATOR, IDENTITY, _term_of, _value_buckets, restriction_extension
+from .terms import GENERATOR, IDENTITY, _enumerate, _term_of, _value_buckets, restriction_extension
 
 BASIS = "Basis"
 NOT_BASIS = "NotBasis"
@@ -139,14 +139,12 @@ def _split_size(
     multisets gets its second one; None when no cell has two. maps are the
     category's (source, target) boundary_maps.
 
-    No word is listed: as in conduche._fiber_classes, classes of words are
-    built bottom-up, each at its least size. Each atom is its own class,
-    because the reduced filter reads identity atoms by name. A composite's
-    class is (value, generator multiset): the filter sees only that it is
-    not an atom, whether it composes depends on its value, and a composite's
-    value and multiset are functions of its factors'. So a class of least
-    size s comes from factor classes at least sizes adding up to s - 1, and
-    only those are combined.
+    No word is listed: classes of words are listed by terms._enumerate, each
+    at its least size, as in conduche._fiber_classes. Each atom is its own
+    class, because the reduced filter reads identity atoms by name. A
+    composite's class is (value, generator multiset): the filter sees only
+    that it is not an atom, whether it composes depends on its value, and a
+    composite's value and multiset are functions of its factors'.
 
     The cap of two composite classes a value keeps, the first found in size
     order, is exact. A composite over a dropped class has two multisets
@@ -165,41 +163,32 @@ def _split_size(
     admit = _reduced_records(category, level)
     composites = [category.comp.get((level, k), {}) for k in range(level)]
     units = category.ids[level - 1]
-    # Classes are shaped for admit as records are: (value, multiset, atom,
-    # None) for an atom, (value, multiset, None, k) for a composite.
-    atoms = [(name, (name,), (GENERATOR, name), None) for name in sigma]
-    atoms += [(units[x], (), (IDENTITY, x), None) for x in category.cells.get(level - 1, [])]
-    least: dict[str, dict[tuple, int]] = {}  # value -> multiset -> least size
-    for value, multiset, _, _ in atoms:
-        least.setdefault(value, {})[multiset] = 0
     kept: dict[str, set] = {}  # value -> its composite classes' multisets
-    by_size = [atoms]
-    by_target: dict[tuple[int, int], dict] = {}  # (size, k) -> classes by k-target
-    for size in range(1, size_bound + 1):
-        if not any(by_size[size // 2:]):
-            break  # a pair of this size or more has a factor of an empty size
-        layer = []
-        for k in range(level):
-            for left_size in range(size):
-                right_size = size - 1 - left_size
-                partners = by_target.get((right_size, k))
-                if partners is None:
-                    partners = by_target[(right_size, k)] = {}
-                    for right in by_size[right_size]:
-                        partners.setdefault(targets[k][right[0]], []).append(right)
-                for left in by_size[left_size]:
-                    for right in partners.get(sources[k][left[0]], ()):
-                        if not admit(left, k, right):
-                            continue
-                        pair = left[0], right[0]
-                        value = composites[k].get(pair) or category.compose(*pair, k)
-                        multiset = tuple(sorted(left[1] + right[1]))
-                        classes = kept.setdefault(value, set())
-                        if len(classes) < 2 and multiset not in classes:
-                            classes.add(multiset)
-                            least.setdefault(value, {}).setdefault(multiset, size)
-                            layer.append((value, multiset, None, k))
-        by_size.append(layer)
+
+    def pair(left: tuple, k: int, right: tuple) -> tuple | None:
+        if not admit(left, k, right):
+            return None
+        value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
+        classes = kept.setdefault(value, set())
+        if len(classes) == 2:
+            return None
+        multiset = tuple(sorted(left[1] + right[1]))
+        if multiset in classes:
+            return None
+        classes.add(multiset)
+        return (value, multiset, None, k, left[4] + right[4] + 1)
+
+    # Classes are shaped for admit as records are: (value, multiset, atom,
+    # None, 0) for an atom, (value, multiset, None, k, size) for a composite.
+    atoms = [(name, (name,), (GENERATOR, name), None, 0) for name in sigma]
+    atoms += [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
+    classes, _ = _enumerate(
+        atoms, level - 1, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
+        pair, size_bound,
+    )
+    least: dict[str, dict[tuple, int]] = {}  # value -> multiset -> least size
+    for value, multiset, _, _, size in classes:
+        least.setdefault(value, {}).setdefault(multiset, size)
     for a in category.cells.get(level, []):
         sizes = sorted(least.get(a, {}).values())
         if len(sizes) > 1:
@@ -208,15 +197,16 @@ def _split_size(
 
 
 def _basis_records(
-    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps=None
+    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps
 ):
     """The reduced words over sigma as terms._value_buckets records, with the
     truncation flag and, by shape id, each word's atoms (kind, name), left to
-    right, which re-association leaves fixed."""
+    right, which re-association leaves fixed. maps are the category's
+    (source, target) boundary_maps."""
     shapes: dict[tuple, int] = {}
     buckets, truncated = _value_buckets(
-        category, level, sigma, lambda atom: (atom,), shapes, size_bound, max_count,
-        _reduced_records(category, level), maps,
+        category, level, sigma, lambda atom: (atom,), shapes, size_bound, maps, max_count,
+        _reduced_records(category, level),
     )
     atoms: list[tuple] = []
     for key in shapes:  # factors are numbered before the words they make

@@ -613,18 +613,25 @@ def enumerate_terms(
 
 def _enumerate(
     atoms: list, top: int, source_key, target_key, pair, max_size: int,
-    max_count: int | None = None, admit=None,
+    max_count: int | None = None,
 ) -> tuple[list, bool]:
     """The one enumeration loop: every item of size up to max_size, smallest
     first, as (items, truncated): at most max_count items, and truncated
-    True when an admitted item within max_size was left out.
+    True when an item within max_size that pair keeps was left out.
 
     An item of size 0 is an atom; one of size s > 0 is pair(left, k, right)
     for k in 0..top and items left, right of sizes adding up to s - 1 that
-    meet at k, that is source_key(left, k) == target_key(right, k). Within a
-    size the order is by k, then left size, then left, then right, each in
-    listed order; admit(left, k, right), when given, filters pairs before
-    they are built. Each item's keys are computed once per k.
+    meet at k, that is source_key(left, k) == target_key(right, k), unless
+    pair returns None, which drops it. Within a size the order is by k, then
+    left size, then left, then right, each in listed order. Each item's keys
+    are computed once per k.
+
+    Class passes run on this loop too: an item is a class of words, and pair
+    drops a class already listed. When whether two words meet at k, and the
+    class of their composite, depend only on k and the two words' classes,
+    and a composite's size is its factors' plus one, a class of least size s
+    comes from factor classes at their least sizes adding up to s - 1. So
+    listing each class once, at its least size, lists every class.
     """
     by_size: list[list] = [atoms[:max_count]]
     if len(by_size[0]) < len(atoms):
@@ -635,6 +642,8 @@ def _enumerate(
     source_keys: dict[tuple[int, int], list] = {}
     by_target: dict[tuple[int, int], dict] = {}
     for size in range(1, max_size + 1):
+        if not any(by_size[size // 2:]):
+            break  # a pair of this size or more has a factor of an empty size
         layer: list = []
         by_size.append(layer)
         for k in range(top + 1):
@@ -651,17 +660,19 @@ def _enumerate(
                     keys = source_keys[(left_size, k)] = [source_key(left, k) for left in lefts]
                 for left, key in zip(lefts, keys):
                     for right in partners.get(key, ()):
-                        if admit is None or admit(left, k, right):
-                            if count == max_count:
-                                return [item for items in by_size for item in items], True
-                            layer.append(pair(left, k, right))
-                            count += 1
+                        built = pair(left, k, right)
+                        if built is None:
+                            continue
+                        if count == max_count:
+                            return [item for items in by_size for item in items], True
+                        layer.append(built)
+                        count += 1
     return [item for items in by_size for item in items], False
 
 
 def _value_buckets(
     category: PresentedCategory, level: int, sigma: list[str], atom_key, shapes: dict,
-    max_size: int, max_count: int | None = None, admit=None, maps: tuple | None = None,
+    max_size: int, maps: tuple, max_count: int | None = None, admit=None,
 ) -> tuple[dict[str, list[tuple]], bool]:
     """The words of enumerate_terms(restriction_extension(category, level,
     sigma), max_size, max_count) as records (value, shape id, left, k, right)
@@ -671,13 +682,15 @@ def _value_buckets(
     lists them. Shapes are numbered in `shapes`, factors first: an atom's is
     atom_key((kind, name)), a composite's (left id, k, right id). Factors
     meet when their values' boundaries do, which in a valid category is when
-    their terms' do. admit, when given, filters pairs of records. maps, when
-    given, are the category's (source, target) boundary_maps."""
-    sources, targets = maps or (boundary_maps(category, SRC), boundary_maps(category, TGT))
+    their terms' do. maps are the category's (source, target) boundary_maps.
+    admit, when given, filters pairs of records."""
+    sources, targets = maps
     units = category.ids[level - 1]
     composites = [category.comp.get((level, k), {}) for k in range(level)]
 
-    def pair(left: tuple, k: int, right: tuple) -> tuple:
+    def pair(left: tuple, k: int, right: tuple) -> tuple | None:
+        if admit is not None and not admit(left, k, right):
+            return None
         # A missing entry goes through compose, which raises UndefinedComposite.
         value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
         return (value, shapes.setdefault((left[1], k, right[1]), len(shapes)), left, k, right)
@@ -688,7 +701,7 @@ def _value_buckets(
              for value, atom in valued]
     records, truncated = _enumerate(
         atoms, level - 1, lambda record, k: sources[k][record[0]],
-        lambda record, k: targets[k][record[0]], pair, max_size, max_count, admit,
+        lambda record, k: targets[k][record[0]], pair, max_size, max_count,
     )
     buckets: dict[str, list[tuple]] = {}
     for record in records:

@@ -20,11 +20,12 @@ from random import Random
 import pytest
 
 from polyconduche import conduche
-from polyconduche.categories import SRC, TGT
+from polyconduche.categories import SRC, TGT, PresentedCategory, boundary_maps, validate_category
 from polyconduche.conduche import (
     FAIL,
     PASS,
     ConducheReport,
+    _fiber_classes,
     _record_failures,
     fiber_conduche,
     full_extension,
@@ -51,6 +52,7 @@ from polyconduche.polygraphs import (
     BasisVerdict,
     _basis_records,
     _reachable_values,
+    _split_size,
     check_basis,
     default_word_bound,
     indecomposables,
@@ -69,6 +71,11 @@ from polyconduche.terms import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = functor_corpus()
+
+
+def maps_of(category):
+    """The category's (source, target) boundary maps."""
+    return boundary_maps(category, SRC), boundary_maps(category, TGT)
 
 
 def plain_enumeration(extension, max_size, max_count=None, reduced=False):
@@ -253,8 +260,11 @@ def test_class_route_matches_full_bound_records():
     compositions = 0
     for name, functor in CORPUS + SEEDED:
         top = min(functor.source.dimension, functor.target.dimension)
+        maps = (maps_of(functor.source), maps_of(functor.target))
         for size_bound in range(5):
-            levels = [_record_failures(functor, level, size_bound) for level in range(1, top + 1)]
+            levels = [
+                _record_failures(functor, level, size_bound, maps) for level in range(1, top + 1)
+            ]
             for up_to_dim in [None, *range(functor.source.dimension + 1)]:
                 cut = top if up_to_dim is None else min(up_to_dim, top)
                 failures = [f for level in levels[:cut] for f in level]
@@ -288,6 +298,98 @@ def test_class_route_lists_records_only_to_the_witness_size(monkeypatch):
         assert len(listed) == 2 * len(failing), name
         assert {size for _, size in listed} <= {1}, name
     assert verdicts == {PASS, FAIL}
+
+
+def record_size(record):
+    """The number of compositions in a _value_buckets record's word."""
+    return 0 if record[3] is None else record_size(record[2]) + record_size(record[4]) + 1
+
+
+def test_fiber_classes_match_value_records():
+    # Each target word's class (value, N) read off the records of both sides
+    # at the same bound: the source words over a target word are those with
+    # its shape id, and have its size.
+    saturated = composite = False
+    for name, functor in CORPUS:
+        source, target = functor.source, functor.target
+        maps = (maps_of(source), maps_of(target))
+        for level in range(1, min(source.dimension, target.dimension) + 1):
+            shapes = {}
+            src_buckets, _ = _value_buckets(
+                source, level, source.cells.get(level, []),
+                lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3, maps[0],
+            )
+            tgt_buckets, _ = _value_buckets(
+                target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3, maps[1],
+            )
+            counts = {}  # shape id -> source value -> source words, capped at 2
+            for value, records in src_buckets.items():
+                for record in records:
+                    n = counts.setdefault(record[1], {})
+                    n[value] = min(2, n.get(value, 0) + 1)
+            want = {}
+            for value, records in tgt_buckets.items():
+                for record in records:
+                    key = (value, frozenset(counts.get(record[1], {}).items()))
+                    want[key] = min(want.get(key, 3), record_size(record))
+            got = {
+                (value, frozenset(n.items())): size
+                for value, n, size in _fiber_classes(functor, level, 3, maps)
+            }
+            assert got == want, (name, level)
+            saturated = saturated or any(2 in dict(n).values() for _, n in got)
+            composite = composite or any(got.values())
+    assert saturated and composite
+
+
+def square_category():
+    """A commutative square: gf = kh = e, so e has two generator multisets
+    over {f, g, h, k}, both from composites of size 1."""
+    arrows = {"f": ("a", "b"), "g": ("b", "d"), "h": ("a", "c"), "k": ("c", "d"), "e": ("a", "d")}
+    comp = {("g", "f"): "e", ("k", "h"): "e"}
+    for arrow, (x, y) in arrows.items():
+        comp[(arrow, "1" + x)] = comp[("1" + y, arrow)] = arrow
+    for x in "abcd":
+        comp[("1" + x, "1" + x)] = "1" + x
+    return PresentedCategory(
+        1,
+        {0: list("abcd"), 1: ["1" + x for x in "abcd"] + list(arrows)},
+        {1: {**{"1" + x: x for x in "abcd"}, **{a: x for a, (x, _) in arrows.items()}}},
+        {1: {**{"1" + x: x for x in "abcd"}, **{a: y for a, (_, y) in arrows.items()}}},
+        {0: {x: "1" + x for x in "abcd"}},
+        {(1, 0): comp},
+    )
+
+
+def test_split_size_matches_full_bound_records():
+    # s* read off every reduced word up to the full bound: for the first
+    # cell whose words have two generator multisets, the second smallest of
+    # its multisets' least sizes. On the square over {f, g, h, k} the split
+    # is from two composites, so the cap of two classes a value keeps is
+    # reached.
+    square = square_category()
+    assert validate_category(square).ok
+    cases = level_subsets() + [("square", square, 1, sigma) for sigma in (list("fghk"), ["e"])]
+    splits = set()
+    for name, category, level, sigma in cases:
+        maps = maps_of(category)
+        for word_size in (0, 1, 2, 3, 4, None):
+            size_bound = default_word_bound(category, level) if word_size is None else word_size
+            buckets, _, atoms = _basis_records(category, level, sigma, size_bound, None, maps)
+            want = None
+            for a in category.cells.get(level, []):
+                least = {}
+                for record in buckets.get(a, []):
+                    word = atoms[record[1]]
+                    multiset = tuple(sorted(cell for kind, cell in word if kind != IDENTITY))
+                    least.setdefault(multiset, len(word) - 1)
+                if len(least) > 1:
+                    want = sorted(least.values())[1]
+                    break
+            got = _split_size(category, level, sigma, size_bound, maps)
+            assert got == want, (name, level, sigma, word_size)
+            splits.add(want)
+    assert {None, 0, 1} <= splits
 
 
 def test_check_basis_matches_per_term_oracle():
@@ -367,7 +469,7 @@ def test_fold_enumerated_equals_evaluate(category):
     for level in range(1, category.dimension + 1):
         sigma = list(category.cells.get(level, []))
         extension = restriction_extension(category, level, sigma)
-        buckets, _, atoms = _basis_records(category, level, sigma, 3, None)
+        buckets, _, atoms = _basis_records(category, level, sigma, 3, None, maps_of(category))
         for value, records in buckets.items():
             for record in records:
                 term = _term_of(extension, record)
@@ -390,10 +492,11 @@ def test_shaped_terms_match_image_words(name, functor):
         shapes = {}
         sources, _ = _value_buckets(
             source, level, source.cells.get(level, []),
-            lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3,
+            lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3, maps_of(source),
         )
         targets, _ = _value_buckets(
-            target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3
+            target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3,
+            maps_of(target),
         )
         images = []
         for extension, buckets, relabel in (
@@ -438,7 +541,7 @@ def test_record_filter_admits_what_reduced_admits(category, level, sigma):
     extension = restriction_extension(category, level, sigma)
     everything = len(plain_enumeration(extension, 3, reduced=True)[0])
     for max_count in (None, 2, 40, everything):
-        buckets, cut, _ = _basis_records(category, level, sigma, 3, max_count)
+        buckets, cut, _ = _basis_records(category, level, sigma, 3, max_count, maps_of(category))
         terms, want_cut = plain_enumeration(extension, 3, max_count, reduced=True)
         want = {}
         for term in terms:

@@ -56,3 +56,19 @@ def test_no_module_imports_a_name_it_never_uses(path):
     used |= set(exported(tree))
     unused = [f"{name} (line {line})" for name, line in imported(tree).items() if name not in used]
     assert unused == []
+
+
+def test_every_private_definition_is_referenced():
+    # A private helper that no code in the package names is dead code.
+    defined, referenced = [], set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined if name not in referenced] == []

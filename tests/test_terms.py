@@ -14,6 +14,7 @@ from polyconduche.fixtures import (
 from polyconduche.movements import apply_movement, enumerate_movements
 from polyconduche.terms import (
     GENERATOR,
+    _enumerate,
     _pair,
     check_term,
     compose_terms,
@@ -176,6 +177,36 @@ def test_enumerate_truncates_only_when_a_term_is_left_out():
         assert [t.serialize() for t in terms] == [
             t.serialize() for t in everything[:max_count]
         ]
+
+
+def test_enumerate_stops_at_the_first_size_no_pair_reaches():
+    # Every pair meets and every pair is dropped: only the size-1 pairs are
+    # tried, whatever the size bound.
+    atoms = ["a", "b", "c"]
+    calls = []
+
+    def pair(left, k, right):
+        calls.append((left, k, right))
+
+    got = _enumerate(atoms, 1, lambda item, k: 0, lambda item, k: 0, pair, 50)
+    assert got == (atoms, False)
+    assert calls == [(left, k, right) for k in range(2) for left in atoms for right in atoms]
+
+
+def test_enumerate_counts_only_the_pairs_it_keeps():
+    # Of the nine size-1 pairs only the three with right "a" are kept, and
+    # the last two pairs tried are dropped.
+    atoms = ["a", "b", "c"]
+
+    def pair(left, k, right):
+        return left + right if right == "a" else None
+
+    def enumerate_(max_count):
+        return _enumerate(atoms, 0, lambda item, k: 0, lambda item, k: 0, pair, 1, max_count)
+
+    kept = atoms + ["aa", "ba", "ca"]
+    assert enumerate_(None) == enumerate_(6) == (kept, False)
+    assert enumerate_(5) == (kept[:5], True)
 
 
 def test_random_term_is_deterministic_and_bounded():
