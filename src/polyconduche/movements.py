@@ -36,7 +36,6 @@ from .terms import (
     _graft,
     _pair,
     _path_to,
-    _tokens,
     _unit_atom,
     _unit_on,
     fold,
@@ -45,7 +44,7 @@ from .terms import (
     occurrences,
     splice,
 )
-from .words import Word, serialize
+from .words import LPAREN, RPAREN, SPELLINGS, Word, comp, serialize
 
 WITNESS = "witness"
 DISTINCT = "distinct"
@@ -62,7 +61,8 @@ class ElementaryMovement:
     source is the term u and prefix_len the token length of v; the prefix v
     and suffix w are read from the source's word when asked. direction
     records the orientation of the underlying shape: a backward movement has
-    the shape's right-hand side as its redex.
+    the shape's right-hand side as its redex. The source of an inverted
+    movement is the grafted tree, which spells its word only when asked.
     """
 
     __slots__ = ("source", "prefix_len", "redex", "contractum", "case", "direction")
@@ -87,8 +87,9 @@ class ElementaryMovement:
         return word.sub(self.prefix_len + self.redex.length, len(word))
 
     def inverted(self) -> "ElementaryMovement":
+        at = self.prefix_len
         return ElementaryMovement(
-            _splice(self.source, self),
+            _graft(_path_to(self.source, at, at + self.redex.length)[1], self.contractum),
             self.prefix_len,
             self.contractum,
             self.redex,
@@ -376,39 +377,49 @@ def _bidirectional_search(
     that ordering is the witness, which makes repeated queries byte-stable.
     Returns the step list or an Unknown reason, and fills in stats.
 
-    Each visited set maps a word's tokens to a plain record of the step that
-    first reached it, (source node, prefix_len, redex, contractum, case,
-    direction), or None at the root. A frontier entry is the tokens and that
-    record: the node's tree and Word are built only when it is expanded, and
-    ElementaryMovement objects only for the witness, from the records on its
-    path.
+    Words are keyed by str: a word's key joins its tokens' one-character
+    codes (see words.SymbolToken), so slicing, joining and hashing keys run
+    in C, and the level order is (len(key), key.translate(SPELLINGS)). Each
+    visited set maps a word's key to a plain record of the step that first
+    reached it, (source node, prefix_len, redex, contractum, case,
+    direction), or None at the root. A frontier entry is the key and that
+    record: the node's tree is grafted only when it is expanded, and
+    ElementaryMovement objects are made only for the witness, from the
+    records on its path. No Word is built and no tree is walked for its
+    tokens; the witness's words are spelled from the trees when asked for.
 
-    A contractum depends only on its redex, so the rewrites rooted at a
-    subterm are computed once per search and kept under the subterm's
-    tokens, each with its contractum's tokens; the growing ones only when a
-    node below the size cap first needs them. A child's key is spliced from
-    those tokens and probed against the visited sets.
+    keys maps each term the search has met to its key: every subterm
+    occurrence of an expanded node gets its slice of the node's key, and a
+    contractum is spelled from its factors' keys by _key_of. A contractum
+    depends only on its redex, so the rewrites rooted at a subterm are
+    computed once per search and kept under the subterm's key, filed by
+    case in _rewrites order as (contractum, contractum key, direction); the
+    growing ones (backward cases 2, 3 and 4) only when a node below the size
+    cap first needs them. A child's key is prefix + contractum key + suffix,
+    probed against the visited sets.
     """
-    visited = [{start.word.tokens: None}, {goal.word.tokens: None}]
+    keys: dict[Term, str] = {}
+    start_key, goal_key = _key_of(keys, start), _key_of(keys, goal)
+    visited = [{start_key: None}, {goal_key: None}]
     roots = (start, goal)
-    frontiers = [[(start.word.tokens, None)], [(goal.word.tokens, None)]]
+    frontiers = [[(start_key, None)], [(goal_key, None)]]
     depths = [0, 0]  # levels expanded on each side, the last perhaps in part
-    if goal.word.tokens in visited[0]:
+    if goal_key in visited[0]:
         return []
     total_visited = 2
-    # Subterm tokens -> [its rewrites that do not grow it, all its rewrites],
-    # each filed by case (see _filed) and None until needed.
-    memo: dict[tuple, list] = {}
+    # Subterm key -> [its rewrites that do not grow it, all its rewrites],
+    # each one tuple per case, () when there are none and None until needed.
+    memo: dict[str, list] = {}
     expansions = [0, 0]
     candidates = records = largest_frontier = 0
 
-    def chain(side: int, tokens) -> list[ElementaryMovement]:
-        """The movements from the side's root to tokens, last first."""
+    def chain(side: int, key: str) -> list[ElementaryMovement]:
+        """The movements from the side's root to key, last first."""
         steps = []
-        record = visited[side][tokens]
+        record = visited[side][key]
         while record is not None:
             steps.append(ElementaryMovement(*record))
-            record = visited[side][record[0].word.tokens]
+            record = visited[side][keys[record[0]]]
         return steps
 
     try:
@@ -424,41 +435,41 @@ def _bidirectional_search(
             seen, other = visited[side], visited[1 - side]
             largest_frontier = max(largest_frontier, len(frontiers[side]))
             depths[side] += 1
-            new_frontier: list[tuple[tuple, tuple]] = []
-            level = sorted(
-                frontiers[side], key=lambda e: (len(e[0]), "".join([t.spelling for t in e[0]]))
-            )
-            for tokens, reached in level:
+            new_frontier: list[tuple[str, tuple]] = []
+            level = sorted(frontiers[side], key=lambda e: (len(e[0]), e[0].translate(SPELLINGS)))
+            for node_key, reached in level:
                 if reached is None:
                     node = roots[side]
-                else:  # graft the tree at the record's occurrence; its word is the key
+                else:  # graft the tree at the record's occurrence
                     source, at, redex, contractum = reached[:4]
                     node = _graft(_path_to(source, at, at + redex.length)[1], contractum)
-                    node._word = Word(tokens)
                 expansions[side] += 1
                 growing = node.size < size_cap
                 sites = []  # (subterm, position, prefix, suffix, rewrites by case)
                 # Descendants before their ancestors, so that the subterms a new
-                # contractum is built from have their words when it is spelled.
+                # contractum is built from have their keys when it is spelled.
                 for sub, at in reversed(list(occurrences(node))):
                     end = at + sub.length
-                    key = tokens[at:end]
-                    if sub._word is None:
-                        sub._word = Word(key)
+                    key = keys[sub] = node_key[at:end]
                     entry = memo.get(key)
                     if entry is None:
                         entry = memo[key] = [None, None]
                     by_case = entry[growing]
                     if by_case is None:
-                        by_case = entry[growing] = _filed(extension, sub, growing)
-                    if by_case is not _NO_REWRITES:
-                        sites.append((sub, at, tokens[:at], tokens[end:], by_case))
+                        filed: tuple[list, ...] = ([], [], [], [], [])
+                        for case, contractum, direction in _rewrites(
+                            extension, sub, ALL_CASES, ALL_CASES if growing else (1, 5)
+                        ):
+                            filed[case - 1].append((contractum, _key_of(keys, contractum), direction))
+                        by_case = entry[growing] = tuple(map(tuple, filed)) if any(filed) else ()
+                    if by_case:
+                        sites.append((sub, at, node_key[:at], node_key[end:], by_case))
                 sites.reverse()
                 for case in (1, 2, 3, 4, 5):
                     for sub, at, prefix, suffix, by_case in sites:
-                        for contractum, contractum_tokens, direction in by_case[case - 1]:
-                            # Probe the visited sets with the child's tokens.
-                            key = prefix + contractum_tokens + suffix
+                        for contractum, contractum_key, direction in by_case[case - 1]:
+                            # Probe the visited sets with the child's key.
+                            key = prefix + contractum_key + suffix
                             candidates += 1
                             if key in seen:
                                 continue
@@ -483,23 +494,22 @@ def _bidirectional_search(
         stats.largest_frontier = largest_frontier
 
 
-# The memo entry of a subterm without rewrites: one empty tuple per case.
-_NO_REWRITES: tuple = ((),) * 5
-
-
-def _filed(extension: CellularExtension, sub: Term, growing: bool) -> tuple:
-    """A subterm's rewrites as (contractum, contractum tokens, direction)
-    triples, one tuple per case in _rewrites order; the growing ones (the
-    backward cases 2, 3 and 4) only when asked for."""
-    rewrites = _rewrites(extension, sub, ALL_CASES, ALL_CASES if growing else (1, 5))
-    if not rewrites:
-        return _NO_REWRITES
-    by_case: tuple[list, ...] = ([], [], [], [], [])
-    for case, contractum, direction in rewrites:
-        word = contractum._word  # an atom always has one
-        tokens = word.tokens if word is not None else _tokens(contractum)
-        by_case[case - 1].append((contractum, tokens, direction))
-    return tuple(map(tuple, by_case))
+def _key_of(keys: dict, term: Term) -> str:
+    """A term's search key, kept in keys: its word's codes joined when it
+    has its word, and otherwise spelled from its factors' keys. Module
+    level, so that a search's state forms no reference cycle and is freed
+    when the search returns."""
+    key = keys.get(term)
+    if key is None:
+        word = term._word
+        if word is not None:
+            key = "".join([t.code for t in word.tokens])
+        else:
+            left = keys.get(term.left) or _key_of(keys, term.left)
+            right = keys.get(term.right) or _key_of(keys, term.right)
+            key = LPAREN.code + left + comp(term.level).code + right + RPAREN.code
+        keys[term] = key
+    return key
 
 
 def extend_functor(

@@ -131,13 +131,19 @@ def _reduced_records(category: PresentedCategory, level: int):
     return admit
 
 
+class _Fixed(Exception):
+    """Raised by the class pass of _split_size with s* once it is known."""
+
+
 def _split_size(
-    category: PresentedCategory, level: int, sigma: list[str], size_bound: int, maps: tuple
+    category: PresentedCategory, level: int, sigma: list[str], size_bound: int, maps: tuple,
+    admit=None,
 ) -> int | None:
     """s*: the least size at which the first cell, in cells order, whose
     reduced words over sigma of size up to size_bound have two generator
     multisets gets its second one; None when no cell has two. maps are the
-    category's (source, target) boundary_maps.
+    category's (source, target) boundary_maps, and admit the filter of
+    _reduced_records, built here when not given.
 
     No word is listed: classes of words are listed by terms._enumerate, each
     at its least size, as in conduche._fiber_classes. Each atom is its own
@@ -158,12 +164,26 @@ def _split_size(
     So s* is the true least split size: a cell's is the second smallest
     least size over its distinct multisets, which is 0 when its atoms have
     two, and otherwise that of one of its first two composite classes.
+    The first cell in cells order comes first whatever the others do, so
+    the pass returns as soon as that cell has a second multiset: classes
+    come smallest first, and the size of the class that gives it the
+    second is s*.
     """
     sources, targets = maps
-    admit = _reduced_records(category, level)
+    admit = admit or _reduced_records(category, level)
     composites = [category.comp.get((level, k), {}) for k in range(level)]
     units = category.ids[level - 1]
     kept: dict[str, set] = {}  # value -> its composite classes' multisets
+
+    # Classes are shaped for admit as records are: (value, multiset, atom,
+    # None, 0) for an atom, (value, multiset, None, k, size) for a composite.
+    atoms = [(name, (name,), (GENERATOR, name), None, 0) for name in sigma]
+    atoms += [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
+    cells = category.cells.get(level, [])
+    first = cells[0] if cells else None
+    found = {atom[1] for atom in atoms if atom[0] == first}  # first's multisets so far
+    if len(found) > 1:
+        return 0
 
     def pair(left: tuple, k: int, right: tuple) -> tuple | None:
         if not admit(left, k, right):
@@ -176,20 +196,24 @@ def _split_size(
         if multiset in classes:
             return None
         classes.add(multiset)
-        return (value, multiset, None, k, left[4] + right[4] + 1)
+        size = left[4] + right[4] + 1
+        if value == first:
+            found.add(multiset)
+            if len(found) > 1:
+                raise _Fixed(size)
+        return (value, multiset, None, k, size)
 
-    # Classes are shaped for admit as records are: (value, multiset, atom,
-    # None, 0) for an atom, (value, multiset, None, k, size) for a composite.
-    atoms = [(name, (name,), (GENERATOR, name), None, 0) for name in sigma]
-    atoms += [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
-    classes, _ = _enumerate(
-        atoms, level - 1, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
-        pair, size_bound,
-    )
+    try:
+        classes, _ = _enumerate(
+            atoms, level - 1, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
+            pair, size_bound,
+        )
+    except _Fixed as fixed:
+        return fixed.args[0]
     least: dict[str, dict[tuple, int]] = {}  # value -> multiset -> least size
     for value, multiset, _, _, size in classes:
         least.setdefault(value, {}).setdefault(multiset, size)
-    for a in category.cells.get(level, []):
+    for a in cells:
         sizes = sorted(least.get(a, {}).values())
         if len(sizes) > 1:
             return sizes[1]
@@ -197,16 +221,18 @@ def _split_size(
 
 
 def _basis_records(
-    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps
+    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps,
+    admit=None,
 ):
     """The reduced words over sigma as terms._value_buckets records, with the
     truncation flag and, by shape id, each word's atoms (kind, name), left to
     right, which re-association leaves fixed. maps are the category's
-    (source, target) boundary_maps."""
+    (source, target) boundary_maps, and admit the filter of _reduced_records,
+    built here when not given."""
     shapes: dict[tuple, int] = {}
     buckets, truncated = _value_buckets(
         category, level, sigma, lambda atom: (atom,), shapes, size_bound, maps, max_count,
-        _reduced_records(category, level),
+        admit or _reduced_records(category, level),
     )
     atoms: list[tuple] = []
     for key in shapes:  # factors are numbered before the words they make
@@ -267,9 +293,11 @@ def check_basis(
     if size_bound is None:
         size_bound = default_word_bound(category, level)
     maps = (boundary_maps(category, SRC), boundary_maps(category, TGT))
-    split = _split_size(category, level, sigma, size_bound, maps)
+    admit = _reduced_records(category, level)
+    split = _split_size(category, level, sigma, size_bound, maps, admit)
     buckets, truncated, atoms = _basis_records(
-        category, level, sigma, size_bound if split is None else split, bounds.max_terms, maps
+        category, level, sigma, size_bound if split is None else split, bounds.max_terms, maps,
+        admit,
     )
     extension = None
 

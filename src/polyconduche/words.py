@@ -25,6 +25,9 @@ ID_KIND = "i"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# The spelling of each token, by the ordinal of its code.
+SPELLINGS: dict[int, str] = {}
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SymbolToken:
@@ -32,12 +35,17 @@ class SymbolToken:
 
     Each symbol has exactly one token object (LPAREN, RPAREN and the cached
     constructors below), so tokens compare and hash by identity, and each
-    spells its text once.
+    spells its text once. Each also gets a one-character code, distinct
+    from every other token's, so that a word's codes joined are a str that
+    stands for it: SPELLINGS maps each code's ordinal to the token's
+    spelling, and str.translate with it turns such a key into the word's
+    serialization.
     """
 
     kind: str
     value: str | int | None = None
     spelling: str = field(init=False, repr=False)
+    code: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind in (LPAREN_KIND, RPAREN_KIND):
@@ -46,7 +54,10 @@ class SymbolToken:
             spelling = f"*{self.value}"
         else:
             spelling = f"{self.kind}:{self.value}"
+        code = chr(len(SPELLINGS))
+        SPELLINGS[ord(code)] = spelling
         object.__setattr__(self, "spelling", spelling)
+        object.__setattr__(self, "code", code)
 
     def text(self) -> str:
         return self.spelling

@@ -19,7 +19,7 @@ from random import Random
 
 import pytest
 
-from polyconduche import conduche
+from polyconduche import conduche, polygraphs
 from polyconduche.categories import SRC, TGT, PresentedCategory, boundary_maps, validate_category
 from polyconduche.conduche import (
     FAIL,
@@ -52,6 +52,7 @@ from polyconduche.polygraphs import (
     BasisVerdict,
     _basis_records,
     _reachable_values,
+    _reduced_records,
     _split_size,
     check_basis,
     default_word_bound,
@@ -392,6 +393,35 @@ def test_split_size_matches_full_bound_records():
     assert {None, 0, 1} <= splits
 
 
+def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
+    # path2 over every 1-cell: its first cell, 1x, has two atoms, (c:1x) and
+    # (i:x), so s* is 0 before any class is listed.
+    path2 = path2_category()
+    monkeypatch.setattr(polygraphs, "_enumerate", None)
+    assert _split_size(path2, 1, list(path2.cells[1]), 6, maps_of(path2)) == 0
+    monkeypatch.undo()
+    # The square with e listed first: e's second multiset comes at size 1,
+    # and the pass stops there. Listed last, e is still the first cell to
+    # split, but the pass lists classes up to the bound to know it.
+    admitted = []
+
+    def counted(admit):
+        def inner(*args):
+            admitted[-1] += 1
+            return admit(*args)
+
+        return inner
+
+    for first in (False, True):
+        square = square_category()
+        if first:
+            square.cells[1] = ["e"] + [cell for cell in square.cells[1] if cell != "e"]
+        admitted.append(0)
+        admit = counted(_reduced_records(square, 1))
+        assert _split_size(square, 1, list("fghk"), 6, maps_of(square), admit) == 1
+    assert 0 < admitted[1] < admitted[0]
+
+
 def test_check_basis_matches_per_term_oracle():
     verdicts = set()
     for name, functor in CORPUS:
@@ -434,9 +464,14 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
     # The class pass lists records only up to the split size; the oracle
     # enumerates every reduced word up to the full bound. A small max_terms
     # cuts the enumeration below some witnesses, a larger one above them.
-    cut_below = cut_above = False
+    # On the square over {f, g, h, k}, e's two preimages (g*0f) and (k*0h)
+    # are composites, so the witness pair is two rebuilt composites.
+    square = square_category()
+    chosen = (list("fghk"), list("khgf"), list("fghke"), ["1a", *"fghk"])
+    cases = level_subsets() + [("square", square, 1, sigma) for sigma in chosen]
+    cut_below = cut_above = two_composites = False
     verdicts = set()
-    for name, category, level, sigma in level_subsets():
+    for name, category, level, sigma in cases:
         for word_size in (0, 1, 2, 3, 4, None):
             outcomes = []
             for max_terms in (200_000, 3, 12):
@@ -448,11 +483,12 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
                 verdicts.add(expected["verdict"])
             full, low, high = outcomes
             if full.get("witness", {}).get("kind") == "DisconnectedPair":
+                two_composites = two_composites or all("*" in w for w in full["witness"]["pair"])
                 cut_below = cut_below or low["verdict"] == UNKNOWN
                 if not cut_above and high == full:
                     cut_above = too_many(category, level, sigma, word_size, 12)
     assert verdicts == {BASIS, NOT_BASIS, UNKNOWN}
-    assert cut_below and cut_above
+    assert cut_below and cut_above and two_composites
 
 
 def too_many(category, level, sigma, word_size, max_terms):

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 from random import Random
@@ -5,7 +6,7 @@ from random import Random
 import pytest
 
 from polyconduche.categories import OmegaFunctor, truncate
-from polyconduche import movements
+from polyconduche import movements, terms
 from polyconduche.errors import Stale
 from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
 from polyconduche.movements import (
@@ -277,3 +278,59 @@ def test_stats_repeat_and_stay_zero_without_a_search():
     assert starved.records <= starved.candidates and starved.memo_misses > 0
     padded = term(ext, "((i:id_star)*1(c:a))")
     assert equivalent(ext, padded, term(ext, "(c:a)")).stats == movements.SearchStats()
+
+
+def test_search_state_forms_no_reference_cycle():
+    # A search's visited sets, memo and keys must be freed when it returns,
+    # not left to the cyclic collector (a recursive nested key speller
+    # would keep them in a cycle).
+    ext = eh_extension()
+    u, v = term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))")
+    gc.collect()
+    gc.disable()
+    try:
+        assert equivalent(ext, u, v).verdict == WITNESS
+        assert equivalent(ext, u, v, SearchBounds(max_visited=500)).reason == "visited-cap"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_search_spells_no_word(monkeypatch):
+    # The search keys words by str and spells each contractum's key from
+    # its subterms' keys: it builds no Word and walks no tree for its
+    # tokens. The witness's words are spelled afterwards, from the trees.
+    ext = eh_extension()
+    u, v = term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))")
+    equivalent(ext, u, v)  # make the atoms the search inserts, with their words
+    counts = {"Word": 0, "_tokens": 0}
+
+    class CountingWord(movements.Word):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            counts["Word"] += 1
+            super().__init__(*args)
+
+    def counting_tokens(t, tokens=terms._tokens):
+        counts["_tokens"] += 1
+        return tokens(t)
+
+    during = []
+    search = movements._bidirectional_search
+
+    def watched(*args):
+        before = dict(counts)
+        result = search(*args)
+        during.append({name: counts[name] - before[name] for name in counts})
+        return result
+
+    monkeypatch.setattr(movements, "Word", CountingWord)
+    monkeypatch.setattr(terms, "Word", CountingWord)
+    monkeypatch.setattr(terms, "_tokens", counting_tokens)
+    monkeypatch.setattr(movements, "_bidirectional_search", watched)
+    outcome = equivalent(ext, u, v)
+    assert during == [{"Word": 0, "_tokens": 0}]
+    golden = json.loads(json.loads(GOLDEN.read_text())["equiv-braiding"]["stdout"])
+    assert outcome.witness.to_json() == golden["witness"]["steps"]
+    assert counts["_tokens"] > 0  # the witness's words, spelled after the search
