@@ -10,6 +10,7 @@ the same treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import LevelError, SchemaError, UndefinedComposite
 
@@ -19,6 +20,16 @@ TGT = "tgt"
 
 @dataclass
 class PresentedCategory:
+    """A finite strict n-category as explicit tables.
+
+    What is derived from the tables is built once and kept: the level and
+    identity-preimage indexes at construction, `boundaries` and the
+    factorization indexes on first read. So no cell is added or removed and
+    no identity changed after construction, and cells, src, tgt, ids and
+    comp are not edited after the first derived read; globe and
+    composable_pair assign comp before any such read.
+    """
+
     dimension: int
     cells: dict[int, list[str]]
     src: dict[int, dict[str, str]]
@@ -27,10 +38,12 @@ class PresentedCategory:
     comp: dict[tuple[int, int], dict[tuple[str, str], str]]
     basis: dict[int, list[str]] | None = None
 
-    _level_of: dict[str, int] = field(init=False, repr=False, default_factory=dict)
-    _id_preimage: dict[int, dict[str, str]] = field(init=False, repr=False, default_factory=dict)
+    _level_of: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _id_preimage: dict[int, dict[str, str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
     _factorizations: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = field(
-        init=False, repr=False, default_factory=dict
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self):
@@ -113,22 +126,25 @@ class PresentedCategory:
             self._factorizations[key] = index
         return self._factorizations[key].get(result, [])
 
-
-def boundary_maps(category: PresentedCategory, side: str) -> list[dict[str, str]]:
-    """maps[k][x] == category.boundary(x, k, side) for every level k and
-    every cell x at level k or above, each map built from the one above it.
-    A cell whose walk down the side's maps misses a level or a step is left
-    out, so on a category that fails the schema check a lookup can miss
-    where category.boundary would raise."""
-    table = category.src if side == SRC else category.tgt
-    maps = [{x: x for x in category.cells.get(category.dimension, [])}]
-    for k in range(category.dimension - 1, -1, -1):
-        step = table.get(k + 1, {})
-        below = {x: x for x in category.cells.get(k, [])}
-        below.update((x, step[y]) for x, y in maps[-1].items() if y in step)
-        maps.append(below)
-    maps.reverse()
-    return maps
+    @cached_property
+    def boundaries(self) -> tuple[list[dict[str, str]], list[dict[str, str]]]:
+        """(sources, targets): sources[k][x] == self.boundary(x, k, SRC) for
+        every level k and every cell x at level k or above, and targets
+        likewise, each map built from the one above it. A cell whose walk
+        down the side's maps misses a level or a step is left out, so on a
+        category that fails the schema check a lookup can miss where
+        boundary would raise."""
+        sides = []
+        for table in (self.src, self.tgt):
+            maps = [{x: x for x in self.cells.get(self.dimension, [])}]
+            for k in range(self.dimension - 1, -1, -1):
+                step = table.get(k + 1, {})
+                below = {x: x for x in self.cells.get(k, [])}
+                below.update((x, step[y]) for x, y in maps[-1].items() if y in step)
+                maps.append(below)
+            maps.reverse()
+            sides.append(maps)
+        return sides[0], sides[1]
 
 
 @dataclass
@@ -222,7 +238,7 @@ def validate_category(category: PresentedCategory) -> ValidationReport:
     # Composition tables: defined exactly on composable pairs. A result at
     # another level is reported, and its boundaries at the levels it lacks
     # count as None below.
-    bs, bt = boundary_maps(c, SRC), boundary_maps(c, TGT)
+    bs, bt = c.boundaries
     for l in range(1, n + 1):
         for k in range(l):
             table = c.comp.get((l, k), {})

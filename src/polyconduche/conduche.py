@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import SRC, TGT, OmegaFunctor, PresentedCategory, boundary_maps, truncate
+from .categories import OmegaFunctor, PresentedCategory, truncate
 from .errors import BadOccurrence, NotLiftable, NotWellFormed, SchemaError
 from .movements import (
     BACKWARD,
@@ -338,12 +338,9 @@ def fiber_conduche(
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
     up_to_dim = min(up_to_dim, functor.source.dimension, functor.target.dimension)
-    maps = tuple(
-        (boundary_maps(c, SRC), boundary_maps(c, TGT)) for c in (functor.source, functor.target)
-    )
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
-        classes = _fiber_classes(functor, level, size_bound, maps)
+        classes = _fiber_classes(functor, level, size_bound)
         witness_sizes = []
         for a in functor.source.cells.get(level, []):
             fa = functor.apply(a)
@@ -353,11 +350,11 @@ def fiber_conduche(
             if sizes:
                 witness_sizes.append(min(sizes))
         if witness_sizes:
-            failures += _record_failures(functor, level, max(witness_sizes), maps)
+            failures += _record_failures(functor, level, max(witness_sizes))
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
-def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int, maps: tuple) -> list[tuple]:
+def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[tuple]:
     """The classes of the level's target words of size up to size_bound, as
     (target value, N, least size); N maps each source value v to the number
     of source words over the target word with value v, capped at 2 and left
@@ -365,11 +362,9 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int, maps: tup
 
     A composite's class depends only on its factors' classes and k, so the
     classes are listed by terms._enumerate, each once, at its least size.
-    maps are the (source, target) boundary_maps of the functor's source and
-    of its target.
     """
     source, target = functor.source, functor.target
-    (src_sources, src_targets), (tgt_sources, tgt_targets) = maps
+    (src_sources, src_targets), (tgt_sources, tgt_targets) = source.boundaries, target.boundaries
     src_comp = [source.comp.get((level, k), {}) for k in range(level)]
     tgt_comp = [target.comp.get((level, k), {}) for k in range(level)]
 
@@ -409,7 +404,7 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int, maps: tup
     return [(value, dict(counts), size) for (value, counts), size in least.items()]
 
 
-def _record_failures(functor: OmegaFunctor, level: int, size_bound: int, maps: tuple) -> list[dict]:
+def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list[dict]:
     """The failures of one level, from the words of both sides up to the
     size bound.
 
@@ -420,8 +415,7 @@ def _record_failures(functor: OmegaFunctor, level: int, size_bound: int, maps: t
     have the same image word exactly when their ids are equal, so each
     fiber comparison is a dictionary pass over ints. The records read the
     categories' own tables; a term is rebuilt only to spell a witness, over
-    the one extension of its category that the first witness builds. maps
-    are as for _fiber_classes.
+    the one extension of its category that the first witness builds.
     """
     extensions: dict[int, CellularExtension] = {}
 
@@ -434,11 +428,11 @@ def _record_failures(functor: OmegaFunctor, level: int, size_bound: int, maps: t
     shapes: dict[tuple, int] = {}
     src_buckets, _ = _value_buckets(
         functor.source, level, functor.source.cells.get(level, []),
-        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound, maps[0],
+        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
     )
     tgt_buckets, _ = _value_buckets(
         functor.target, level, functor.target.cells.get(level, []),
-        lambda atom: atom, shapes, size_bound, maps[1],
+        lambda atom: atom, shapes, size_bound,
     )
     failures: list[dict] = []
     for a in functor.source.cells.get(level, []):

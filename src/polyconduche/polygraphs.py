@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, boundary_maps, is_degenerate
+from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
 from .movements import SearchBounds, WITNESS, equivalent
 from .terms import GENERATOR, IDENTITY, _enumerate, _term_of, _value_buckets, restriction_extension
@@ -136,14 +136,12 @@ class _Fixed(Exception):
 
 
 def _split_size(
-    category: PresentedCategory, level: int, sigma: list[str], size_bound: int, maps: tuple,
-    admit=None,
+    category: PresentedCategory, level: int, sigma: list[str], size_bound: int, admit,
 ) -> int | None:
     """s*: the least size at which the first cell, in cells order, whose
     reduced words over sigma of size up to size_bound have two generator
-    multisets gets its second one; None when no cell has two. maps are the
-    category's (source, target) boundary_maps, and admit the filter of
-    _reduced_records, built here when not given.
+    multisets gets its second one; None when no cell has two. admit is the
+    filter of _reduced_records.
 
     No word is listed: classes of words are listed by terms._enumerate, each
     at its least size, as in conduche._fiber_classes. Each atom is its own
@@ -169,8 +167,7 @@ def _split_size(
     come smallest first, and the size of the class that gives it the
     second is s*.
     """
-    sources, targets = maps
-    admit = admit or _reduced_records(category, level)
+    sources, targets = category.boundaries
     composites = [category.comp.get((level, k), {}) for k in range(level)]
     units = category.ids[level - 1]
     kept: dict[str, set] = {}  # value -> its composite classes' multisets
@@ -221,18 +218,15 @@ def _split_size(
 
 
 def _basis_records(
-    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, maps,
-    admit=None,
+    category: PresentedCategory, level: int, sigma: list[str], size_bound, max_count, admit,
 ):
     """The reduced words over sigma as terms._value_buckets records, with the
     truncation flag and, by shape id, each word's atoms (kind, name), left to
-    right, which re-association leaves fixed. maps are the category's
-    (source, target) boundary_maps, and admit the filter of _reduced_records,
-    built here when not given."""
+    right, which re-association leaves fixed. admit is the filter of
+    _reduced_records."""
     shapes: dict[tuple, int] = {}
     buckets, truncated = _value_buckets(
-        category, level, sigma, lambda atom: (atom,), shapes, size_bound, maps, max_count,
-        admit or _reduced_records(category, level),
+        category, level, sigma, lambda atom: (atom,), shapes, size_bound, max_count, admit,
     )
     atoms: list[tuple] = []
     for key in shapes:  # factors are numbered before the words they make
@@ -292,12 +286,10 @@ def check_basis(
     size_bound = bounds.word_size
     if size_bound is None:
         size_bound = default_word_bound(category, level)
-    maps = (boundary_maps(category, SRC), boundary_maps(category, TGT))
     admit = _reduced_records(category, level)
-    split = _split_size(category, level, sigma, size_bound, maps, admit)
+    split = _split_size(category, level, sigma, size_bound, admit)
     buckets, truncated, atoms = _basis_records(
-        category, level, sigma, size_bound if split is None else split, bounds.max_terms, maps,
-        admit,
+        category, level, sigma, size_bound if split is None else split, bounds.max_terms, admit,
     )
     extension = None
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .categories import SRC, TGT, PresentedCategory, boundary_maps, truncate
+from .categories import SRC, TGT, PresentedCategory, truncate
 from .errors import (
     BadOccurrence,
     BoundaryMismatch,
@@ -151,10 +151,8 @@ def _tokens(term: Term) -> tuple:
 class ParseTables:
     """What parsing reads of an extension, kept on it from the first use on.
 
-    sources and targets are categories.boundary_maps of the base: for each
-    level k, they map each cell x at level k or above to
-    base.boundary(x, k, side), leaving out a cell whose lookup in the base
-    would raise. composites[k] maps each pair (x, y) of the (n, k)
+    sources and targets are the base's boundaries, kept here for the hot
+    path. composites[k] maps each pair (x, y) of the (n, k)
     composition table whose x is a top cell to x *k y. atoms holds the
     one atom term per (kind, name), and units the atom of _unit_on per
     (cell, k, side) asked for; parsed maps each atom token that a parse has
@@ -169,8 +167,7 @@ class ParseTables:
     def __init__(self, extension: CellularExtension):
         base = extension.base
         n = self.dimension = base.dimension
-        self.sources = boundary_maps(base, SRC)
-        self.targets = boundary_maps(base, TGT)
+        self.sources, self.targets = base.boundaries
         tops = set(base.cells.get(n, []))
         self.composites = {
             k: {pair: cell for pair, cell in base.comp.get((n, k), {}).items() if pair[0] in tops}
@@ -672,7 +669,7 @@ def _enumerate(
 
 def _value_buckets(
     category: PresentedCategory, level: int, sigma: list[str], atom_key, shapes: dict,
-    max_size: int, maps: tuple, max_count: int | None = None, admit=None,
+    max_size: int, max_count: int | None = None, admit=None,
 ) -> tuple[dict[str, list[tuple]], bool]:
     """The words of enumerate_terms(restriction_extension(category, level,
     sigma), max_size, max_count) as records (value, shape id, left, k, right)
@@ -682,9 +679,8 @@ def _value_buckets(
     lists them. Shapes are numbered in `shapes`, factors first: an atom's is
     atom_key((kind, name)), a composite's (left id, k, right id). Factors
     meet when their values' boundaries do, which in a valid category is when
-    their terms' do. maps are the category's (source, target) boundary_maps.
-    admit, when given, filters pairs of records."""
-    sources, targets = maps
+    their terms' do. admit, when given, filters pairs of records."""
+    sources, targets = category.boundaries
     units = category.ids[level - 1]
     composites = [category.comp.get((level, k), {}) for k in range(level)]
 

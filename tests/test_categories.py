@@ -14,6 +14,7 @@ from polyconduche.categories import (
     validate_category,
     validate_functor,
 )
+from polyconduche.conduche import PASS, fiber_conduche
 from polyconduche.errors import SchemaError, UndefinedComposite
 from polyconduche.fixtures import (
     arrow_category,
@@ -24,6 +25,7 @@ from polyconduche.fixtures import (
     path2_category,
     terminal_category,
 )
+from polyconduche.manifests import category_from_json, category_to_json
 
 
 @pytest.mark.parametrize(
@@ -160,6 +162,18 @@ def test_schema_error_on_dangling_reference():
     c.src[1]["u"] = "nope"
     with pytest.raises(SchemaError):
         validate_category(c)
+
+
+def test_equal_categories_stay_equal_once_used():
+    # The indexes a category derives from its tables are not part of its
+    # value: using one of two equal categories keeps them equal, and a used
+    # category survives a JSON round trip.
+    used, fresh = path2_category(), path2_category()
+    assert ("g", "f") in used.factorizations("gf", 1, 0)
+    assert validate_category(used).ok
+    assert fiber_conduche(identity_functor(used), 2).verdict == PASS
+    assert used == fresh
+    assert category_from_json(category_to_json(used)) == used
 
 
 def test_identity_functor_validates():

@@ -1,7 +1,14 @@
+from functools import cached_property
+
 import pytest
 
 from polyconduche import movements, terms
-from polyconduche.categories import OmegaFunctor, identity_functor
+from polyconduche.categories import (
+    OmegaFunctor,
+    PresentedCategory,
+    identity_functor,
+    validate_category,
+)
 from polyconduche.conduche import (
     FAIL,
     PASS,
@@ -42,6 +49,7 @@ from polyconduche.movements import (
     apply_movement,
     enumerate_movements,
 )
+from polyconduche.polygraphs import check_basis
 from polyconduche.terms import GENERATOR, all_atoms, atom_word, check_term, compose_terms, pair_word
 from polyconduche.words import serialize, tokenize
 
@@ -151,6 +159,40 @@ def test_fiber_route_reports_a_missing_table_entry(build, table, message):
     with pytest.raises(UndefinedComposite) as raised:
         fiber_conduche(identity_functor(category), 2)
     assert str(raised.value) == message
+    # The edit comes before the category's first derived read, so the
+    # category answers as one built with the edit does.
+    tables = build()
+    built = PresentedCategory(
+        tables.dimension, tables.cells, tables.src, tables.tgt, tables.ids,
+        {key: dict(entries) if key == table else t for key, t in tables.comp.items()},
+        tables.basis,
+    )
+    assert built == category
+    assert validate_category(built).violations == validate_category(category).violations
+    with pytest.raises(UndefinedComposite) as raised:
+        fiber_conduche(identity_functor(built), 2)
+    assert str(raised.value) == message
+
+
+def test_boundary_maps_are_built_once_per_category(monkeypatch):
+    # validate_category, the fiber route and the basis check all read the
+    # category's own boundary maps: one build for the three.
+    builds = []
+    boundaries = PresentedCategory.__dict__["boundaries"]
+
+    def counted(category):
+        builds.append(category)
+        return boundaries.func(category)
+
+    patched = cached_property(counted)
+    patched.__set_name__(PresentedCategory, "boundaries")
+    monkeypatch.setattr(PresentedCategory, "boundaries", patched)
+    category = parallel_pair_category()
+    validate_category(category)
+    fiber_conduche(identity_functor(category), 2)
+    for level in (1, 2):
+        check_basis(category, level, category.basis[level])
+    assert [c for c in builds if c is category] == [category]
 
 
 def test_fiber_witness_rebuilds_deep_records():

@@ -20,7 +20,7 @@ from random import Random
 import pytest
 
 from polyconduche import conduche, polygraphs
-from polyconduche.categories import SRC, TGT, PresentedCategory, boundary_maps, validate_category
+from polyconduche.categories import SRC, TGT, PresentedCategory, validate_category
 from polyconduche.conduche import (
     FAIL,
     PASS,
@@ -72,11 +72,6 @@ from polyconduche.terms import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = functor_corpus()
-
-
-def maps_of(category):
-    """The category's (source, target) boundary maps."""
-    return boundary_maps(category, SRC), boundary_maps(category, TGT)
 
 
 def plain_enumeration(extension, max_size, max_count=None, reduced=False):
@@ -261,11 +256,8 @@ def test_class_route_matches_full_bound_records():
     compositions = 0
     for name, functor in CORPUS + SEEDED:
         top = min(functor.source.dimension, functor.target.dimension)
-        maps = (maps_of(functor.source), maps_of(functor.target))
         for size_bound in range(5):
-            levels = [
-                _record_failures(functor, level, size_bound, maps) for level in range(1, top + 1)
-            ]
+            levels = [_record_failures(functor, level, size_bound) for level in range(1, top + 1)]
             for up_to_dim in [None, *range(functor.source.dimension + 1)]:
                 cut = top if up_to_dim is None else min(up_to_dim, top)
                 failures = [f for level in levels[:cut] for f in level]
@@ -313,15 +305,14 @@ def test_fiber_classes_match_value_records():
     saturated = composite = False
     for name, functor in CORPUS:
         source, target = functor.source, functor.target
-        maps = (maps_of(source), maps_of(target))
         for level in range(1, min(source.dimension, target.dimension) + 1):
             shapes = {}
             src_buckets, _ = _value_buckets(
                 source, level, source.cells.get(level, []),
-                lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3, maps[0],
+                lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3,
             )
             tgt_buckets, _ = _value_buckets(
-                target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3, maps[1],
+                target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3,
             )
             counts = {}  # shape id -> source value -> source words, capped at 2
             for value, records in src_buckets.items():
@@ -335,7 +326,7 @@ def test_fiber_classes_match_value_records():
                     want[key] = min(want.get(key, 3), record_size(record))
             got = {
                 (value, frozenset(n.items())): size
-                for value, n, size in _fiber_classes(functor, level, 3, maps)
+                for value, n, size in _fiber_classes(functor, level, 3)
             }
             assert got == want, (name, level)
             saturated = saturated or any(2 in dict(n).values() for _, n in got)
@@ -373,10 +364,10 @@ def test_split_size_matches_full_bound_records():
     cases = level_subsets() + [("square", square, 1, sigma) for sigma in (list("fghk"), ["e"])]
     splits = set()
     for name, category, level, sigma in cases:
-        maps = maps_of(category)
+        admit = _reduced_records(category, level)
         for word_size in (0, 1, 2, 3, 4, None):
             size_bound = default_word_bound(category, level) if word_size is None else word_size
-            buckets, _, atoms = _basis_records(category, level, sigma, size_bound, None, maps)
+            buckets, _, atoms = _basis_records(category, level, sigma, size_bound, None, admit)
             want = None
             for a in category.cells.get(level, []):
                 least = {}
@@ -387,7 +378,7 @@ def test_split_size_matches_full_bound_records():
                 if len(least) > 1:
                     want = sorted(least.values())[1]
                     break
-            got = _split_size(category, level, sigma, size_bound, maps)
+            got = _split_size(category, level, sigma, size_bound, admit)
             assert got == want, (name, level, sigma, word_size)
             splits.add(want)
     assert {None, 0, 1} <= splits
@@ -398,7 +389,7 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
     # (i:x), so s* is 0 before any class is listed.
     path2 = path2_category()
     monkeypatch.setattr(polygraphs, "_enumerate", None)
-    assert _split_size(path2, 1, list(path2.cells[1]), 6, maps_of(path2)) == 0
+    assert _split_size(path2, 1, list(path2.cells[1]), 6, _reduced_records(path2, 1)) == 0
     monkeypatch.undo()
     # The square with e listed first: e's second multiset comes at size 1,
     # and the pass stops there. Listed last, e is still the first cell to
@@ -418,7 +409,7 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
             square.cells[1] = ["e"] + [cell for cell in square.cells[1] if cell != "e"]
         admitted.append(0)
         admit = counted(_reduced_records(square, 1))
-        assert _split_size(square, 1, list("fghk"), 6, maps_of(square), admit) == 1
+        assert _split_size(square, 1, list("fghk"), 6, admit) == 1
     assert 0 < admitted[1] < admitted[0]
 
 
@@ -505,7 +496,9 @@ def test_fold_enumerated_equals_evaluate(category):
     for level in range(1, category.dimension + 1):
         sigma = list(category.cells.get(level, []))
         extension = restriction_extension(category, level, sigma)
-        buckets, _, atoms = _basis_records(category, level, sigma, 3, None, maps_of(category))
+        buckets, _, atoms = _basis_records(
+            category, level, sigma, 3, None, _reduced_records(category, level)
+        )
         for value, records in buckets.items():
             for record in records:
                 term = _term_of(extension, record)
@@ -528,11 +521,10 @@ def test_shaped_terms_match_image_words(name, functor):
         shapes = {}
         sources, _ = _value_buckets(
             source, level, source.cells.get(level, []),
-            lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3, maps_of(source),
+            lambda atom: (atom[0], functor.apply(atom[1])), shapes, 3,
         )
         targets, _ = _value_buckets(
             target, level, target.cells.get(level, []), lambda atom: atom, shapes, 3,
-            maps_of(target),
         )
         images = []
         for extension, buckets, relabel in (
@@ -577,7 +569,9 @@ def test_record_filter_admits_what_reduced_admits(category, level, sigma):
     extension = restriction_extension(category, level, sigma)
     everything = len(plain_enumeration(extension, 3, reduced=True)[0])
     for max_count in (None, 2, 40, everything):
-        buckets, cut, _ = _basis_records(category, level, sigma, 3, max_count, maps_of(category))
+        buckets, cut, _ = _basis_records(
+            category, level, sigma, 3, max_count, _reduced_records(category, level)
+        )
         terms, want_cut = plain_enumeration(extension, 3, max_count, reduced=True)
         want = {}
         for term in terms:

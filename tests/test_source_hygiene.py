@@ -72,3 +72,37 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in referenced] == []
+
+
+def dataclass_options(node):
+    """The keywords of a class's @dataclass decorator, None when it has none."""
+    for decorator in node.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        name = call.func if call else decorator
+        if isinstance(name, ast.Name) and name.id == "dataclass":
+            keywords = call.keywords if call else []
+            return {keyword.arg: ast.literal_eval(keyword.value) for keyword in keywords}
+    return None
+
+
+def test_derived_dataclass_fields_stay_out_of_equality():
+    # A field the constructor does not take holds what the instance derives
+    # from its other fields, so a dataclass that compares by value must not
+    # compare it: using an instance would change what it equals.
+    derived, compared = [], []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            options = dataclass_options(node) if isinstance(node, ast.ClassDef) else None
+            if options is None or options.get("eq", True) is False:
+                continue
+            for item in node.body:
+                value = item.value if isinstance(item, ast.AnnAssign) else None
+                if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+                    continue
+                keywords = {keyword.arg: keyword.value for keyword in value.keywords}
+                if "init" in keywords and ast.literal_eval(keywords["init"]) is False:
+                    derived.append(f"{path.name}: {node.name}.{item.target.id}")
+                    if "compare" not in keywords or ast.literal_eval(keywords["compare"]) is not False:
+                        compared.append(derived[-1])
+    assert derived
+    assert compared == []

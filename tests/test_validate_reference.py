@@ -1,7 +1,7 @@
 """validate_category against a per-pair reference.
 
-`validate_category` reads every k-boundary from maps built once per
-validation and pairs entries through them. The reference below is the
+`validate_category` reads every k-boundary from the category's
+`boundaries` and pairs entries through them. The reference below is the
 earlier form, which calls `boundary` inside its pairwise loops; wherever it
 returns, the violations must be the same. It raises where a composite lies
 at a level without the boundaries it asks for; validate_category reports
