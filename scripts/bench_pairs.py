@@ -15,7 +15,8 @@ repeated from its output. For every workload and end-to-end metric
 of BENCHMARK.json it prints the medians and quartiles of each side, their
 ratio, in how many pairs the work tree was better, and a verdict: gain,
 worse, unresolved or flat (see `verdict`). It exits 1 when a metric is worse
-or the work tree fails more operations. Standard library only.
+or the work tree fails a larger share of the operations it attempts: a
+faster tree attempts more. Standard library only.
 """
 
 from __future__ import annotations
@@ -133,17 +134,25 @@ def verdict(metric: dict, pairs: list[tuple[float, float]], wins: int) -> str:
 def report(
     workload: str, metrics: list[dict], runs: list[tuple[dict, dict]], base: str, seeds: range
 ) -> bool:
-    """A header line naming the base revision and the seeds, then one line
-    per metric: each side's median [q1, q3], the ratio of the medians, the
-    pairs the work tree won (ties count for neither) and the verdict. True
-    when the change is worse on a metric or fails more operations."""
-    failed = [sum(run["failed"] for run in side) for side in zip(*runs)]
-    correct = [all(run["correct"] for run in side) for side in zip(*runs)]
+    """A header line naming the base revision and the seeds, with each
+    side's failed and attempted operations summed over the pairs and its
+    median attempted per run (a memory metric grows with the operations
+    the tally holds), then one line per metric: each side's median [q1,
+    q3], the ratio of the medians, the pairs the work tree won (ties count
+    for neither) and the verdict. True when the change is worse on a metric
+    or fails a larger share of its attempted operations."""
+    sides = list(zip(*runs))
+    failed = [sum(run["failed"] for run in side) for side in sides]
+    attempted = [sum(run["attempted"] for run in side) for side in sides]
+    median = [statistics.median(run["attempted"] for run in side) for side in sides]
+    correct = [all(run["correct"] for run in side) for side in sides]
     print(f"\n{workload}: {len(runs)} pairs, base {base}, seeds {seeds[0]}-{seeds[-1]}; "
-          f"failed {failed[0]} -> {failed[1]}, correct {correct[0]} -> {correct[1]}")
+          f"failed {failed[0]}/{attempted[0]} -> {failed[1]}/{attempted[1]}, "
+          f"median attempted {median[0]:g} -> {median[1]:g}, "
+          f"correct {correct[0]} -> {correct[1]}")
     print(f"  {'metric':<14}{'base median [q1, q3]':<28}{'change median [q1, q3]':<28}"
           f"{'ratio':<7}{'wins':<7}verdict")
-    bad = failed[1] > failed[0]
+    bad = failed[1] * attempted[0] > failed[0] * attempted[1]
     for metric in metrics:
         name = metric["name"]
         pairs = [(base["metrics"][name]["value"], new["metrics"][name]["value"]) for base, new in runs]

@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--word-size",
         type=_bound,
         default=None,
-        help="word size cap; None means twice the level's cell count, up to 8",
+        help="word size cap; None means twice the level's non-identity cell count, up to 8",
     )
     p.add_argument(
         "--max-terms",

@@ -9,6 +9,7 @@ the equivalence half is bounded and may answer Unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .categories import OmegaFunctor, PresentedCategory, SRC, TGT, is_degenerate
 from .errors import NotSurjective, SchemaError
@@ -73,9 +74,9 @@ def indecomposables(category: PresentedCategory, n: int) -> set[str]:
 
 
 def default_word_bound(category: PresentedCategory, level: int) -> int:
-    plain = [
-        x for x in category.cells.get(level, []) if not is_degenerate(category, x)
-    ]
+    """Twice the level's non-identity cell count, up to SIZE_CAP."""
+    identities = set(category.ids.get(level - 1, {}).values())
+    plain = [x for x in category.cells.get(level, []) if x not in identities]
     return min(2 * len(plain), SIZE_CAP)
 
 
@@ -132,7 +133,56 @@ def _reduced_records(category: PresentedCategory, level: int):
 
 
 class _Fixed(Exception):
-    """Raised by the class pass of _split_size with s* once it is known."""
+    """Raised by a class pass once its answer is known: by _split_size with
+    s*, by _path_basis with none."""
+
+
+def _path_basis(
+    category: PresentedCategory, sigma: list[str], size_bound: int, max_terms: int, admit,
+) -> bool:
+    """True when every reduced word over sigma of size up to size_bound has
+    its value's one atom sequence, every 1-cell is such a value and the
+    words number at most max_terms: then sigma is a level-1 basis. admit is
+    the filter of _reduced_records.
+
+    At level 1 every identity atom is a unit, so a reduced composite is a
+    path of generators. Classes are listed as in _split_size, keyed by
+    (value, atom sequence), which its factors' keys determine, and the pass
+    stops at a value's second sequence. A class of size s holds the
+    Catalan(s) bracketings of its sequence, all reduced and of size s.
+    """
+    sources, targets = category.boundaries
+    composites = category.comp.get((1, 0), {})
+    units = category.ids[0]
+    valued = [(name, (GENERATOR, name)) for name in sigma]
+    valued += [(units[x], (IDENTITY, x)) for x in category.cells.get(0, [])]
+    sequences = {value: (atom,) for value, atom in valued}  # value -> its one atom sequence
+    if len(sequences) < len(valued):
+        return False  # a generator is an identity
+    atoms = [(value, (atom,), atom, None, 0) for value, atom in valued]
+
+    def pair(left: tuple, k: int, right: tuple) -> tuple | None:
+        if not admit(left, k, right):
+            return None
+        value = composites.get((left[0], right[0])) or category.compose(left[0], right[0], k)
+        sequence = left[1] + right[1]
+        known = sequences.get(value)
+        if known is None:
+            sequences[value] = sequence
+            return (value, sequence, None, k, left[4] + right[4] + 1)
+        if known != sequence:
+            raise _Fixed()
+        return None
+
+    try:
+        classes, _ = _enumerate(
+            atoms, 0, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
+            pair, size_bound,
+        )
+    except _Fixed:
+        return False
+    words = sum(comb(2 * c[4], c[4]) // (c[4] + 1) for c in classes)
+    return words <= max_terms and all(a in sequences for a in category.cells.get(1, []))
 
 
 def _split_size(
@@ -242,11 +292,17 @@ def check_basis(
 ) -> BasisVerdict:
     """Is sigma a basis for the category's level-cells?
 
-    Missing preimages are proven via the exact closure. Preimages of one
-    cell share their boundaries, so the equivalence search tells two apart
-    only by their generator multisets: the first cell whose reduced
-    preimage words have two multisets is a proven basis failure. A class
-    pass (_split_size), which lists no word, finds that cell and s*, the
+    Missing preimages are proven via the exact closure. At level 1 a class
+    pass over paths (_path_basis) then gives Basis when every value of a
+    reduced word within the bound has one atom sequence, every cell is such
+    a value and the words fit in max_terms, with no record listed and no
+    multiset pass; otherwise the verdict comes from the route below, as at
+    every higher level.
+
+    Preimages of one cell share their boundaries, so the equivalence search
+    tells two apart only by their generator multisets: the first cell whose
+    reduced preimage words have two multisets is a proven basis failure. A
+    class pass (_split_size), which lists no word, finds that cell and s*, the
     least size at which it has two. When there is one, the reduced words
     are enumerated as records (_basis_records) only up to s*, and the first
     record of the first cell with records of two multisets, and the first
@@ -287,6 +343,8 @@ def check_basis(
     if size_bound is None:
         size_bound = default_word_bound(category, level)
     admit = _reduced_records(category, level)
+    if level == 1 and _path_basis(category, sigma, size_bound, bounds.max_terms, admit):
+        return BasisVerdict(BASIS)
     split = _split_size(category, level, sigma, size_bound, admit)
     buckets, truncated, atoms = _basis_records(
         category, level, sigma, size_bound if split is None else split, bounds.max_terms, admit,

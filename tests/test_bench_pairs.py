@@ -75,3 +75,23 @@ def test_changed_modules_are_listed_by_name(tmp_path):
         "old.py: 1 -> 0 (-1)",
         "terms.py: 743 -> 739 (-4)",
     ]
+
+
+def run(ops: float, attempted: int, failed: int) -> dict:
+    return {"metrics": {"ops_per_s": {"value": ops}}, "attempted": attempted,
+            "failed": failed, "correct": not failed}
+
+
+def test_failures_are_compared_as_shares_of_the_attempted(capsys):
+    # The faster tree attempts twice as many operations and fails more of
+    # them, but a smaller share.
+    runs = [(run(100, 1000, 1), run(200, 2000, 1 + (i == 0))) for i in range(10)]
+    assert not bench_pairs.report("w", [OPS], runs, "HEAD", range(1, 11))
+    header = capsys.readouterr().out.splitlines()[1]
+    assert "failed 10/10000 -> 11/20000" in header
+    assert "median attempted 1000 -> 2000" in header
+    # The same count over as many attempts is no larger share; one more is.
+    same = [(run(100, 1000, 1), run(100, 1000, 1)) for _ in range(10)]
+    assert not bench_pairs.report("w", [OPS], same, "HEAD", range(1, 11))
+    more = same[:-1] + [(run(100, 1000, 1), run(100, 1000, 2))]
+    assert bench_pairs.report("w", [OPS], more, "HEAD", range(1, 11))

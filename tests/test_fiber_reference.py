@@ -456,11 +456,13 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
     # enumerates every reduced word up to the full bound. A small max_terms
     # cuts the enumeration below some witnesses, a larger one above them.
     # On the square over {f, g, h, k}, e's two preimages (g*0f) and (k*0h)
-    # are composites, so the witness pair is two rebuilt composites.
+    # are composites, so the witness pair is two rebuilt composites. A
+    # level-1 Basis that a small max_terms truncates checks the word count
+    # of the path classes.
     square = square_category()
     chosen = (list("fghk"), list("khgf"), list("fghke"), ["1a", *"fghk"])
     cases = level_subsets() + [("square", square, 1, sigma) for sigma in chosen]
-    cut_below = cut_above = two_composites = False
+    cut_below = cut_above = two_composites = counted_paths = False
     verdicts = set()
     for name, category, level, sigma in cases:
         for word_size in (0, 1, 2, 3, 4, None):
@@ -473,13 +475,18 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
                 outcomes.append(expected)
                 verdicts.add(expected["verdict"])
             full, low, high = outcomes
+            if level == 1 and full["verdict"] == BASIS:
+                counted_paths = counted_paths or any(
+                    cut.get("unresolved", [None])[-1] == "<enumeration truncated>"
+                    for cut in (low, high)
+                )
             if full.get("witness", {}).get("kind") == "DisconnectedPair":
                 two_composites = two_composites or all("*" in w for w in full["witness"]["pair"])
                 cut_below = cut_below or low["verdict"] == UNKNOWN
                 if not cut_above and high == full:
                     cut_above = too_many(category, level, sigma, word_size, 12)
     assert verdicts == {BASIS, NOT_BASIS, UNKNOWN}
-    assert cut_below and cut_above and two_composites
+    assert cut_below and cut_above and two_composites and counted_paths
 
 
 def too_many(category, level, sigma, word_size, max_terms):

@@ -153,6 +153,12 @@ def test_search_bounds_thread_through():
     assert verdict.verdict == BASIS
 
 
+def chain7_category():
+    """The free category on a chain of 7 edges."""
+    edges = [(f"e{i}", f"p{i - 1}", f"p{i}") for i in range(1, 8)]
+    return free_category_on_dag([f"p{i}" for i in range(8)], edges).category
+
+
 @pytest.mark.parametrize(
     "name, expected, rebuilt",
     [("chain7", BASIS, 0), ("path2-all", NOT_BASIS, 2)],
@@ -161,8 +167,7 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
     # Every preimage of a free chain's cell has the same atom sequence, and
     # path2 with every 1-cell as a generator fails on generator multisets.
     if name == "chain7":
-        edges = [(f"e{i}", f"p{i - 1}", f"p{i}") for i in range(1, 8)]
-        category = free_category_on_dag([f"p{i}" for i in range(8)], edges).category
+        category = chain7_category()
         sigma = list(category.basis[1])
     else:
         category = path2_category()
@@ -185,8 +190,8 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
 
 def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
     # path2 with every 1-cell as a generator splits on two atoms, (c:1x) and
-    # (i:x); a Basis verdict lists to the full bound; a missing preimage is
-    # proven by closure, with no record.
+    # (i:x); a level-1 Basis verdict is read off path classes with no
+    # record; a missing preimage is proven by closure, with no record.
     listed = []
     value_buckets = polygraphs._value_buckets
 
@@ -201,15 +206,45 @@ def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
     assert listed == [0]
 
     listed.clear()
-    edges = [(f"e{i}", f"p{i - 1}", f"p{i}") for i in range(1, 8)]
-    chain7 = free_category_on_dag([f"p{i}" for i in range(8)], edges).category
+    chain7 = chain7_category()
     assert check_basis(chain7, 1, list(chain7.basis[1])).verdict == BASIS
-    assert listed == [default_word_bound(chain7, 1)] == [8]
+    assert listed == []
 
     listed.clear()
     verdict = check_basis(path2, 1, ["f"])
     assert verdict.witness["kind"] == "MissingPreimage"
     assert listed == []
+
+
+@pytest.mark.parametrize("name", ["chain7", "path2"])
+def test_level_one_basis_verdicts_list_no_record(monkeypatch, name):
+    # One pass over (value, atom sequence) classes decides a level-1 Basis:
+    # no multiset pass, no record, no extension.
+    if name == "chain7":
+        category = chain7_category()
+        sigma = list(category.basis[1])
+    else:
+        category, sigma = path2_category(), ["f", "g"]
+    calls = {"_split_size": 0, "_value_buckets": 0}
+    for function in calls:
+        monkeypatch.setattr(polygraphs, function, counting(calls, function))
+    built = {"ParseTables": 0}
+    monkeypatch.setattr(terms, "ParseTables", counting(built, "ParseTables", terms))
+    assert check_basis(category, 1, sigma).verdict == BASIS
+    assert calls == {"_split_size": 0, "_value_buckets": 0}
+    assert built == {"ParseTables": 0}
+
+
+def test_level_one_word_count_meets_max_terms_exactly():
+    # chain7's reduced words within its bound of 8: the 8 identity atoms and,
+    # for each of the 8 - L paths of L edges, Catalan(L - 1) bracketings.
+    chain7 = chain7_category()
+    sigma = list(chain7.basis[1])
+    catalan = [1, 1, 2, 5, 14, 42, 132]
+    assert 8 + sum((8 - L) * catalan[L - 1] for L in range(1, 8)) == 309
+    cut = check_basis(chain7, 1, sigma, BasisBounds(max_terms=308))
+    assert cut.to_json() == {"verdict": UNKNOWN, "unresolved": ["<enumeration truncated>"]}
+    assert check_basis(chain7, 1, sigma, BasisBounds(max_terms=309)).verdict == BASIS
 
 
 def test_level_two_words_with_the_same_atoms_are_searched():
