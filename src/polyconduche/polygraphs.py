@@ -133,122 +133,77 @@ def _reduced_records(category: PresentedCategory, level: int):
 
 
 class _Fixed(Exception):
-    """Raised by a class pass once its answer is known: by _split_size with
-    s*, by _path_basis with none."""
-
-
-def _path_basis(
-    category: PresentedCategory, sigma: list[str], size_bound: int, max_terms: int, admit,
-) -> bool:
-    """True when every reduced word over sigma of size up to size_bound has
-    its value's one atom sequence, every 1-cell is such a value and the
-    words number at most max_terms: then sigma is a level-1 basis. admit is
-    the filter of _reduced_records.
-
-    At level 1 every identity atom is a unit, so a reduced composite is a
-    path of generators. Classes are listed as in _split_size, keyed by
-    (value, atom sequence), which its factors' keys determine, and the pass
-    stops at a value's second sequence. A class of size s holds the
-    Catalan(s) bracketings of its sequence, all reduced and of size s.
-    """
-    sources, targets = category.boundaries
-    composites = category.comp.get((1, 0), {})
-    units = category.ids[0]
-    valued = [(name, (GENERATOR, name)) for name in sigma]
-    valued += [(units[x], (IDENTITY, x)) for x in category.cells.get(0, [])]
-    sequences = {value: (atom,) for value, atom in valued}  # value -> its one atom sequence
-    if len(sequences) < len(valued):
-        return False  # a generator is an identity
-    atoms = [(value, (atom,), atom, None, 0) for value, atom in valued]
-
-    def pair(left: tuple, k: int, right: tuple) -> tuple | None:
-        if not admit(left, k, right):
-            return None
-        value = composites.get((left[0], right[0])) or category.compose(left[0], right[0], k)
-        sequence = left[1] + right[1]
-        known = sequences.get(value)
-        if known is None:
-            sequences[value] = sequence
-            return (value, sequence, None, k, left[4] + right[4] + 1)
-        if known != sequence:
-            raise _Fixed()
-        return None
-
-    try:
-        classes, _ = _enumerate(
-            atoms, 0, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
-            pair, size_bound,
-        )
-    except _Fixed:
-        return False
-    words = sum(comb(2 * c[4], c[4]) // (c[4] + 1) for c in classes)
-    return words <= max_terms and all(a in sequences for a in category.cells.get(1, []))
+    """Raised by _split_size with s* once the first cell has split."""
 
 
 def _split_size(
     category: PresentedCategory, level: int, sigma: list[str], size_bound: int, admit,
-) -> int | None:
-    """s*: the least size at which the first cell, in cells order, whose
-    reduced words over sigma of size up to size_bound have two generator
-    multisets gets its second one; None when no cell has two. admit is the
-    filter of _reduced_records.
+    ordered: bool,
+) -> tuple[int | None, list | None]:
+    """(s*, classes). s* is the least size at which the first cell, in cells
+    order, whose reduced words over sigma of size up to size_bound have two
+    generator keys gets its second one, or None when no cell has two; a key
+    is the generator sequence when ordered and the multiset otherwise. The
+    classes come back only when s* is None: no value had two keys, so the
+    cap below dropped none and the list is complete. admit is the filter of
+    _reduced_records.
 
     No word is listed: classes of words are listed by terms._enumerate, each
     at its least size, as in conduche._fiber_classes. Each atom is its own
     class, because the reduced filter reads identity atoms by name. A
-    composite's class is (value, generator multiset): the filter sees only
-    that it is not an atom, whether it composes depends on its value, and a
-    composite's value and multiset are functions of its factors'.
+    composite's class is (value, key): the filter sees only that it is not
+    an atom, whether it composes depends on its value, and a composite's
+    value and key are functions of its factors'.
 
     The cap of two composite classes a value keeps, the first found in size
-    order, is exact. A composite over a dropped class has two multisets
-    anyway: that class's value kept two composite classes of no greater
-    size, which the filter and composability treat alike, so with the same
-    partner they give two multisets at no greater size. Any other composite
-    is built from kept classes, so a value with fewer than two classes has
-    them all. By induction on size, each value keeps min(2, n) of its n
-    composite classes of size up to s, at their true least sizes.
+    order, is exact. A composite over a dropped class has two keys anyway:
+    that class's value kept two composite classes of no greater size, which
+    the filter and composability treat alike, so with the same partner they
+    give two keys at no greater size. Any other composite is built from
+    kept classes, so a value with fewer than two classes has them all. By
+    induction on size, each value keeps min(2, n) of its n composite
+    classes of size up to s, at their true least sizes.
 
     So s* is the true least split size: a cell's is the second smallest
-    least size over its distinct multisets, which is 0 when its atoms have
-    two, and otherwise that of one of its first two composite classes.
-    The first cell in cells order comes first whatever the others do, so
-    the pass returns as soon as that cell has a second multiset: classes
-    come smallest first, and the size of the class that gives it the
-    second is s*.
+    least size over its distinct keys, which is 0 when its atoms have two,
+    and otherwise that of one of its first two composite classes. The first
+    cell in cells order comes first whatever the others do, so the pass
+    returns as soon as that cell has a second key: classes come smallest
+    first, and the size of the class that gives it the second is s*.
     """
     sources, targets = category.boundaries
     composites = [category.comp.get((level, k), {}) for k in range(level)]
     units = category.ids[level - 1]
-    kept: dict[str, set] = {}  # value -> its composite classes' multisets
+    kept: dict[str, set] = {}  # value -> its composite classes' keys
 
-    # Classes are shaped for admit as records are: (value, multiset, atom,
-    # None, 0) for an atom, (value, multiset, None, k, size) for a composite.
+    # Classes are shaped for admit as records are: (value, key, atom, None,
+    # 0) for an atom, (value, key, None, k, size) for a composite.
     atoms = [(name, (name,), (GENERATOR, name), None, 0) for name in sigma]
     atoms += [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
     cells = category.cells.get(level, [])
     first = cells[0] if cells else None
-    found = {atom[1] for atom in atoms if atom[0] == first}  # first's multisets so far
+    found = {atom[1] for atom in atoms if atom[0] == first}  # first's keys so far
     if len(found) > 1:
-        return 0
+        return 0, None
 
     def pair(left: tuple, k: int, right: tuple) -> tuple | None:
         if not admit(left, k, right):
             return None
         value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
-        classes = kept.setdefault(value, set())
-        if len(classes) == 2:
+        key = left[1] + right[1] if ordered else tuple(sorted(left[1] + right[1]))
+        keys = kept.get(value)
+        if keys is None:
+            kept[value] = {key}
+        elif len(keys) == 2 or key in keys:
             return None
-        multiset = tuple(sorted(left[1] + right[1]))
-        if multiset in classes:
-            return None
-        classes.add(multiset)
+        else:
+            keys.add(key)
         size = left[4] + right[4] + 1
         if value == first:
-            found.add(multiset)
+            found.add(key)
             if len(found) > 1:
                 raise _Fixed(size)
-        return (value, multiset, None, k, size)
+        return (value, key, None, k, size)
 
     try:
         classes, _ = _enumerate(
@@ -256,15 +211,15 @@ def _split_size(
             pair, size_bound,
         )
     except _Fixed as fixed:
-        return fixed.args[0]
-    least: dict[str, dict[tuple, int]] = {}  # value -> multiset -> least size
-    for value, multiset, _, _, size in classes:
-        least.setdefault(value, {}).setdefault(multiset, size)
+        return fixed.args[0], None
+    least: dict[str, dict[tuple, int]] = {}  # value -> key -> least size
+    for value, key, _, _, size in classes:
+        least.setdefault(value, {}).setdefault(key, size)
     for a in cells:
         sizes = sorted(least.get(a, {}).values())
         if len(sizes) > 1:
-            return sizes[1]
-    return None
+            return sizes[1], None
+    return None, classes
 
 
 def _basis_records(
@@ -292,29 +247,31 @@ def check_basis(
 ) -> BasisVerdict:
     """Is sigma a basis for the category's level-cells?
 
-    Missing preimages are proven via the exact closure. At level 1 a class
-    pass over paths (_path_basis) then gives Basis when every value of a
-    reduced word within the bound has one atom sequence, every cell is such
-    a value and the words fit in max_terms, with no record listed and no
-    multiset pass; otherwise the verdict comes from the route below, as at
-    every higher level.
+    Missing preimages are proven via the exact closure. At level 1 every
+    reduced composite is a path of generators, and words with the same
+    sequence are equal by re-association: so the class pass (_split_size)
+    keyed by generator sequences gives Basis, with no record listed, when no
+    value has two sequences within the bound, every cell is a value and the
+    words, Catalan(s) bracketings for a class of size s, fit in max_terms.
+    Otherwise the verdict comes from the route below, as at every higher
+    level.
 
     Preimages of one cell share their boundaries, so the equivalence search
     tells two apart only by their generator multisets: the first cell whose
-    reduced preimage words have two multisets is a proven basis failure. A
-    class pass (_split_size), which lists no word, finds that cell and s*, the
-    least size at which it has two. When there is one, the reduced words
-    are enumerated as records (_basis_records) only up to s*, and the first
-    record of the first cell with records of two multisets, and the first
-    of that cell's records with another multiset than it, give the witness
-    pair. Records come smallest first, so every bucket up to s* is a prefix
-    of the bucket at the full bound. A max_terms cut that leaves out a word
-    of size up to s* falls at the same record in both enumerations, which
-    then keep the same records; any other cut keeps every word up to s*. No
-    cell before the split cell has two multisets within the bound, and the
-    split cell has its second one by s*. So the first record and the first
-    with another multiset are the ones the full bound gives, and so are the
-    witness's bytes.
+    reduced preimage words have two multisets is a proven basis failure.
+    The class pass keyed by multisets, which lists no word, finds that cell
+    and s*, the least size at which it has two. When there is one, the
+    reduced words are enumerated as records (_basis_records) only up to s*,
+    and the first record of the first cell with records of two multisets,
+    and the first of that cell's records with another multiset than it,
+    give the witness pair. Records come smallest first, so every bucket up
+    to s* is a prefix of the bucket at the full bound. A max_terms cut that
+    leaves out a word of size up to s* falls at the same record in both
+    enumerations, which then keep the same records; any other cut keeps
+    every word up to s*. No cell before the split cell has two multisets
+    within the bound, and the split cell has its second one by s*. So the
+    first record and the first with another multiset are the ones the full
+    bound gives, and so are the witness's bytes.
 
     Otherwise the records go up to the full bound, and the search compares
     each cell's preimages with its first; an Unknown leaves the cell
@@ -343,9 +300,15 @@ def check_basis(
     if size_bound is None:
         size_bound = default_word_bound(category, level)
     admit = _reduced_records(category, level)
-    if level == 1 and _path_basis(category, sigma, size_bound, bounds.max_terms, admit):
-        return BasisVerdict(BASIS)
-    split = _split_size(category, level, sigma, size_bound, admit)
+    if level == 1:
+        split, classes = _split_size(category, level, sigma, size_bound, admit, ordered=True)
+        if (
+            split is None
+            and {c[0] for c in classes}.issuperset(cells)
+            and sum(comb(2 * c[4], c[4]) // (c[4] + 1) for c in classes) <= bounds.max_terms
+        ):
+            return BasisVerdict(BASIS)
+    split, _ = _split_size(category, level, sigma, size_bound, admit, ordered=False)
     buckets, truncated, atoms = _basis_records(
         category, level, sigma, size_bound if split is None else split, bounds.max_terms, admit,
     )

@@ -5,15 +5,19 @@ records of each word's value and image shape, read off its two factors, only
 on a failing level and only up to the size of its witnesses; it builds a
 term only for a witness. The record loop at the full bound is the reference
 for the class route.
-`check_basis` enumerates records of each reduced word's value and atom
-sequence, decides NotBasis by generator multisets, and rebuilds terms only
-for a witness or an equivalence search. The oracles below do what they did
+`check_basis` first runs class passes that list no word: at level 1 one
+keyed by generator sequences, which decides Basis, then one keyed by
+generator multisets, which finds the least size of a NotBasis witness.
+Only then does it enumerate records of each reduced word's value and atom
+sequence, up to that size or the full bound, and it rebuilds terms only for
+a witness or an equivalence search. The oracles below do what they did
 before that: enumerate terms with a plain nested loop, evaluate every term
 from its atoms, relabel every source word token by token and compare every
 preimage with `equivalent`. Verdicts and witnesses must agree exactly.
 """
 
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -353,35 +357,90 @@ def square_category():
     )
 
 
+def commutative_category():
+    """One object o and the monoid N^2 cut at degree 3: ab = ba = c, aa = p,
+    bb = q, and every word of degree 3 or more is z. Over {a, b}, c has two
+    generator sequences but one multiset, and z has two multisets."""
+    # A cell's degree in (a, b); z stands for every degree of 3 or more.
+    degree = {
+        "1o": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1), "p": (2, 0), "q": (0, 2), "z": (3, 0)
+    }
+    named = {d: x for x, d in degree.items()}
+    cells = list(degree)
+    comp = {
+        (x, y): named.get((degree[x][0] + degree[y][0], degree[x][1] + degree[y][1]), "z")
+        for x in cells
+        for y in cells
+    }
+    return PresentedCategory(
+        1,
+        {0: ["o"], 1: cells},
+        {1: {x: "o" for x in cells}},
+        {1: {x: "o" for x in cells}},
+        {0: {"o": "1o"}},
+        {(1, 0): comp},
+    )
+
+
+def bounded_cases(square_sigmas):
+    """(name, category, level, sigma, word sizes): every case of
+    level_subsets() and the square over each of square_sigmas at sizes 0-4
+    and the default bound, and the commutative monoid over {a, b} at sizes
+    0-3 only, since its words number in the hundreds of thousands at its
+    default bound."""
+    square = square_category()
+    commutative = commutative_category()
+    assert validate_category(square).ok and validate_category(commutative).ok
+    every = (0, 1, 2, 3, 4, None)
+    return (
+        [(*case, every) for case in level_subsets()]
+        + [("square", square, 1, sigma, every) for sigma in square_sigmas]
+        + [("commutative", commutative, 1, ["a", "b"], (0, 1, 2, 3))]
+    )
+
+
 def test_split_size_matches_full_bound_records():
     # s* read off every reduced word up to the full bound: for the first
-    # cell whose words have two generator multisets, the second smallest of
-    # its multisets' least sizes. On the square over {f, g, h, k} the split
-    # is from two composites, so the cap of two classes a value keeps is
-    # reached.
-    square = square_category()
-    assert validate_category(square).ok
-    cases = level_subsets() + [("square", square, 1, sigma) for sigma in (list("fghk"), ["e"])]
+    # cell whose words have two generator keys, the second smallest of its
+    # keys' least sizes. On the square over {f, g, h, k} the split is from
+    # two composites, so the cap of two classes a value keeps is reached. At
+    # level 1 the generator sequence is a key too; with no split, the
+    # classes are each (value, sequence) at its least size, and a class of
+    # size s holds Catalan(s) words. The commutative monoid splits on
+    # sequences before it does on multisets.
     splits = set()
-    for name, category, level, sigma in cases:
+    keys_differ = False
+    for name, category, level, sigma, word_sizes in bounded_cases((list("fghk"), ["e"])):
         admit = _reduced_records(category, level)
-        for word_size in (0, 1, 2, 3, 4, None):
+        for word_size in word_sizes:
             size_bound = default_word_bound(category, level) if word_size is None else word_size
             buckets, _, atoms = _basis_records(category, level, sigma, size_bound, None, admit)
-            want = None
-            for a in category.cells.get(level, []):
-                least = {}
-                for record in buckets.get(a, []):
-                    word = atoms[record[1]]
-                    multiset = tuple(sorted(cell for kind, cell in word if kind != IDENTITY))
-                    least.setdefault(multiset, len(word) - 1)
-                if len(least) > 1:
-                    want = sorted(least.values())[1]
-                    break
-            got = _split_size(category, level, sigma, size_bound, admit)
-            assert got == want, (name, level, sigma, word_size)
-            splits.add(want)
+            found = {}  # ordered -> s*
+            for ordered in (False, True) if level == 1 else (False,):
+                want = None
+                least = {}  # (value, key) -> least size
+                for a in category.cells.get(level, []):
+                    sizes = {}
+                    for record in buckets.get(a, []):
+                        word = atoms[record[1]]
+                        key = tuple(cell for kind, cell in word if kind != IDENTITY)
+                        key = key if ordered else tuple(sorted(key))
+                        sizes.setdefault(key, len(word) - 1)
+                        least.setdefault((a, key), len(word) - 1)
+                    if want is None and len(sizes) > 1:
+                        want = sorted(sizes.values())[1]
+                got, classes = _split_size(category, level, sigma, size_bound, admit, ordered)
+                assert got == want, (name, level, sigma, word_size, ordered)
+                if want is None and ordered:
+                    assert {(c[0], c[1]): c[4] for c in classes} == least
+                    words = sum(len(records) for records in buckets.values())
+                    assert sum(comb(2 * c[4], c[4]) // (c[4] + 1) for c in classes) == words
+                assert (classes is None) == (want is not None)
+                found[ordered] = got
+            splits.update(found.values())
+            keys_differ = keys_differ or len(set(found.values())) > 1
     assert {None, 0, 1} <= splits
+    assert keys_differ
 
 
 def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
@@ -389,7 +448,9 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
     # (i:x), so s* is 0 before any class is listed.
     path2 = path2_category()
     monkeypatch.setattr(polygraphs, "_enumerate", None)
-    assert _split_size(path2, 1, list(path2.cells[1]), 6, _reduced_records(path2, 1)) == 0
+    admit = _reduced_records(path2, 1)
+    for ordered in (False, True):
+        assert _split_size(path2, 1, list(path2.cells[1]), 6, admit, ordered) == (0, None)
     monkeypatch.undo()
     # The square with e listed first: e's second multiset comes at size 1,
     # and the pass stops there. Listed last, e is still the first cell to
@@ -409,7 +470,7 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
             square.cells[1] = ["e"] + [cell for cell in square.cells[1] if cell != "e"]
         admitted.append(0)
         admit = counted(_reduced_records(square, 1))
-        assert _split_size(square, 1, list("fghk"), 6, admit) == 1
+        assert _split_size(square, 1, list("fghk"), 6, admit, False) == (1, None)
     assert 0 < admitted[1] < admitted[0]
 
 
@@ -458,14 +519,15 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
     # On the square over {f, g, h, k}, e's two preimages (g*0f) and (k*0h)
     # are composites, so the witness pair is two rebuilt composites. A
     # level-1 Basis that a small max_terms truncates checks the word count
-    # of the path classes.
-    square = square_category()
+    # of the sequence classes. Over {a, b}, the commutative monoid's c has two
+    # sequences, ab and ba, of one multiset, so the search leaves it
+    # unresolved until z's two multisets give a witness.
     chosen = (list("fghk"), list("khgf"), list("fghke"), ["1a", *"fghk"])
-    cases = level_subsets() + [("square", square, 1, sigma) for sigma in chosen]
     cut_below = cut_above = two_composites = counted_paths = False
     verdicts = set()
-    for name, category, level, sigma in cases:
-        for word_size in (0, 1, 2, 3, 4, None):
+    commutative = []
+    for name, category, level, sigma, word_sizes in bounded_cases(chosen):
+        for word_size in word_sizes:
             outcomes = []
             for max_terms in (200_000, 3, 12):
                 bounds = BasisBounds(word_size=word_size, max_terms=max_terms)
@@ -475,6 +537,8 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
                 outcomes.append(expected)
                 verdicts.add(expected["verdict"])
             full, low, high = outcomes
+            if name == "commutative":
+                commutative.append(full)
             if level == 1 and full["verdict"] == BASIS:
                 counted_paths = counted_paths or any(
                     cut.get("unresolved", [None])[-1] == "<enumeration truncated>"
@@ -487,6 +551,14 @@ def test_check_basis_matches_full_bound_oracle_on_every_subset():
                     cut_above = too_many(category, level, sigma, word_size, 12)
     assert verdicts == {BASIS, NOT_BASIS, UNKNOWN}
     assert cut_below and cut_above and two_composites and counted_paths
+    pair = ["((c:a)*0((c:a)*0(c:a)))", "((c:a)*0((c:a)*0(c:b)))"]
+    split = {"verdict": NOT_BASIS, "witness": {"kind": "DisconnectedPair", "pair": pair, "cell": "z"}}
+    assert commutative == [
+        {"verdict": UNKNOWN, "unresolved": ["c", "p", "q", "z"]},
+        {"verdict": UNKNOWN, "unresolved": ["c", "z"]},
+        split,
+        split,
+    ]
 
 
 def too_many(category, level, sigma, word_size, max_terms):

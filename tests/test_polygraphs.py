@@ -190,7 +190,7 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
 
 def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
     # path2 with every 1-cell as a generator splits on two atoms, (c:1x) and
-    # (i:x); a level-1 Basis verdict is read off path classes with no
+    # (i:x); a level-1 Basis verdict is read off sequence classes with no
     # record; a missing preimage is proven by closure, with no record.
     listed = []
     value_buckets = polygraphs._value_buckets
@@ -218,20 +218,28 @@ def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
 
 @pytest.mark.parametrize("name", ["chain7", "path2"])
 def test_level_one_basis_verdicts_list_no_record(monkeypatch, name):
-    # One pass over (value, atom sequence) classes decides a level-1 Basis:
+    # One class pass keyed by generator sequences decides a level-1 Basis:
     # no multiset pass, no record, no extension.
     if name == "chain7":
         category = chain7_category()
         sigma = list(category.basis[1])
     else:
         category, sigma = path2_category(), ["f", "g"]
-    calls = {"_split_size": 0, "_value_buckets": 0}
-    for function in calls:
-        monkeypatch.setattr(polygraphs, function, counting(calls, function))
+    keys = []
+    split_size = polygraphs._split_size
+
+    def keyed(*args, ordered):
+        keys.append(ordered)
+        return split_size(*args, ordered=ordered)
+
+    monkeypatch.setattr(polygraphs, "_split_size", keyed)
+    calls = {"_value_buckets": 0}
+    monkeypatch.setattr(polygraphs, "_value_buckets", counting(calls, "_value_buckets"))
     built = {"ParseTables": 0}
     monkeypatch.setattr(terms, "ParseTables", counting(built, "ParseTables", terms))
     assert check_basis(category, 1, sigma).verdict == BASIS
-    assert calls == {"_split_size": 0, "_value_buckets": 0}
+    assert keys == [True]
+    assert calls == {"_value_buckets": 0}
     assert built == {"ParseTables": 0}
 
 

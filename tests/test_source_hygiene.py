@@ -1,7 +1,9 @@
-"""Static checks on the package source, read with ast and never imported:
-importing __main__ would run the command line."""
+"""Static checks on the package source, and on the private names the README
+gives it, read with ast and never imported: importing __main__ would run
+the command line."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,20 @@ def test_derived_dataclass_fields_stay_out_of_equality():
                         compared.append(derived[-1])
     assert derived
     assert compared == []
+
+
+def test_every_private_name_in_the_readme_is_defined():
+    # A helper the README names in backticks, as `_x` or `module._x`, must
+    # still exist, or the README describes code that is gone.
+    defined = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {target.id for target in targets if isinstance(target, ast.Name)}
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    named = set(re.findall(r"`(?:\w+\.)*(_\w+)", readme))
+    assert named
+    assert sorted(named - defined) == []
