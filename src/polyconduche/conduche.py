@@ -20,6 +20,7 @@ from .movements import (
     ElementaryMovement,
     SearchBounds,
     WITNESS,
+    _built,
     _rewrites,
     apply_movement,
     equivalent,
@@ -474,8 +475,8 @@ def lift_movement(
 
     The induced word map preserves token structure, so the lift sits at the
     same token span: of the rewrites of the movement's case and direction
-    rooted there, built alone, the first whose contractum maps onto the
-    downstairs one. NotLiftable when no subterm or no rewrite there fits.
+    rooted there, each built from its shape, the first whose contractum maps
+    onto the downstairs one. NotLiftable when no subterm or no rewrite there fits.
     """
     if induced_word_map(morphism, lifted_input.word).tokens != movement.source.word.tokens:
         raise SchemaError("the lifted input does not map onto the movement's input")
@@ -487,7 +488,8 @@ def lift_movement(
     forward = (case,) if direction == FORWARD else ()
     backward = (case,) if direction == BACKWARD else ()
     want = movement.contractum.word.tokens
-    for _, contractum, _ in _rewrites(morphism.source, redex, forward, backward):
+    for _, shape, _ in _rewrites(morphism.source, redex, forward, backward):
+        contractum = _built(shape, redex.src, redex.tgt)
         if induced_word_map(morphism, contractum.word).tokens == want:
             lifted = ElementaryMovement(lifted_input, start, redex, contractum, case, direction)
             return lifted, apply_movement(lifted_input, lifted)

@@ -188,34 +188,34 @@ def enumerate_movements(
     backward = cases if direction in ("both", BACKWARD) else ()
     assoc, left_unit, right_unit, merge, interchange = by_case = ([], [], [], [], [])
     for node, start in occurrences(term):
-        for case, contractum, sense in _rewrites(extension, node, forward, backward):
+        for case, shape, sense in _rewrites(extension, node, forward, backward):
+            contractum = _built(shape, node.src, node.tgt)
             by_case[case - 1].append(ElementaryMovement(term, start, node, contractum, case, sense))
     return assoc + left_unit + right_unit + merge + interchange
 
 
-def _rewrites(
-    extension: CellularExtension, node: Term, forward, backward
-) -> list[tuple[int, Term, str]]:
-    """The rewrites rooted at a node, as (case, contractum, direction):
-    the forward ones in case order, backward case 1 and then case 5, a left
+def _rewrites(extension: CellularExtension, node: Term, forward, backward) -> list[tuple]:
+    """The rewrites rooted at a node, as (case, shape, direction): the
+    forward ones in case order, backward case 1 and then case 5, a left
     (case 2) and a right (case 3) unit insertion at each level, and the
     identity splits (case 4). forward and backward hold the cases wanted in
     each direction. Only backward cases 2, 3 and 4 make the node larger,
     each by one.
 
-    Contracta are built from the node's subterms, never parsed: the
+    A shape is the contractum where that term exists already (a factor, or
+    the merged atom of forward case 4), and otherwise a triple (left, k,
+    right) of terms, or of triples for the inner pairs of cases 1 and 5.
+    _built makes its tree and _key_of its key. Nothing is parsed: the
     globularity and distribution axioms make every shape except backward
     interchange well formed outright, and that one is guarded by two
     boundary comparisons.
     """
     n = extension.dimension
     left, k, right = node.left, node.level, node.right
-    src, tgt = node.src, node.tgt
     out = []
     if left is not None and forward:
         if left.level == k and 1 in forward:
-            inner = _pair(left.right, k, right)
-            out.append((1, _composite(left.left, k, inner, src, tgt), FORWARD))
+            out.append((1, (left.left, k, (left.right, k, right)), FORWARD))
         if left.kind == IDENTITY and 2 in forward:
             if left.name == _unit_on(extension, right.tgt, k, TGT):
                 out.append((2, right, FORWARD))
@@ -228,31 +228,37 @@ def _rewrites(
                     merged = _atom(extension, IDENTITY, base.compose(left.name, right.name, k))
                     out.append((4, merged, FORWARD))
         if left.level is not None and left.level == right.level and k < left.level and 5 in forward:
-            first, second = _pair(left.left, k, right.left), _pair(left.right, k, right.right)
-            out.append((5, _composite(first, left.level, second, src, tgt), FORWARD))
+            first, second = (left.left, k, right.left), (left.right, k, right.right)
+            out.append((5, (first, left.level, second), FORWARD))
     if left is not None and backward:
         if right.level == k and 1 in backward:
-            inner = _pair(left, k, right.left)
-            out.append((1, _composite(inner, k, right.right, src, tgt), BACKWARD))
+            out.append((1, ((left, k, right.left), k, right.right), BACKWARD))
         if left.level is not None and left.level == right.level and left.level < k and 5 in backward:
             p, q, r, s = left.left, left.right, right.left, right.right
             if meets(extension, p.src, k, r.tgt) and meets(extension, q.src, k, s.tgt):
-                first, second = _pair(p, k, r), _pair(q, k, s)
-                out.append((5, _composite(first, left.level, second, src, tgt), BACKWARD))
+                out.append((5, ((p, k, r), left.level, (q, k, s)), BACKWARD))
     if 2 in backward or 3 in backward:
         for level in range(n + 1):
             if 2 in backward:
-                inserted = _unit_atom(extension, tgt, level, TGT)
-                out.append((2, _composite(inserted, level, node, src, tgt), BACKWARD))
+                out.append((2, (_unit_atom(extension, node.tgt, level, TGT), level, node), BACKWARD))
             if 3 in backward:
-                inserted = _unit_atom(extension, src, level, SRC)
-                out.append((3, _composite(node, level, inserted, src, tgt), BACKWARD))
+                out.append((3, (node, level, _unit_atom(extension, node.src, level, SRC)), BACKWARD))
     if node.kind == IDENTITY and 4 in backward:
         for level in range(n):
             for (c, d) in extension.base.factorizations(node.name, n, level):
                 c_atom, d_atom = _atom(extension, IDENTITY, c), _atom(extension, IDENTITY, d)
-                out.append((4, _composite(c_atom, level, d_atom, src, tgt), BACKWARD))
+                out.append((4, (c_atom, level, d_atom), BACKWARD))
     return out
+
+
+def _built(shape, src: str, tgt: str) -> Term:
+    """The contractum of a _rewrites shape over a redex (src, tgt)."""
+    if shape.__class__ is Term:
+        return shape
+    left, k, right = shape
+    left = left if left.__class__ is Term else _pair(*left)
+    right = right if right.__class__ is Term else _pair(*right)
+    return _composite(left, k, right, src, tgt)
 
 
 def apply_movement(term: Term, movement: ElementaryMovement) -> Term:
@@ -381,28 +387,29 @@ def _bidirectional_search(
     codes (see words.SymbolToken), so slicing, joining and hashing keys run
     in C, and the level order is (len(key), key.translate(SPELLINGS)). Each
     visited set maps a word's key to a plain record of the step that first
-    reached it, (source node, prefix_len, redex, contractum, case,
-    direction), or None at the root. A frontier entry is the key and that
-    record: the node's tree is grafted only when it is expanded, and
-    ElementaryMovement objects are made only for the witness, from the
+    reached it, (source node, prefix_len, redex, contractum shape, case,
+    direction), or None at the root, and a frontier holds keys only. Trees
+    are built only where they are used: a node's tree is grafted, with its
+    contractum built from the record's shape, when the node is expanded,
+    and ElementaryMovement objects are made only for the witness, from the
     records on its path. No Word is built and no tree is walked for its
     tokens; the witness's words are spelled from the trees when asked for.
 
     keys maps each term the search has met to its key: every subterm
     occurrence of an expanded node gets its slice of the node's key, and a
-    contractum is spelled from its factors' keys by _key_of. A contractum
+    contractum's key is spelled from its shape by _key_of. A contractum
     depends only on its redex, so the rewrites rooted at a subterm are
     computed once per search and kept under the subterm's key, filed by
-    case in _rewrites order as (contractum, contractum key, direction); the
-    growing ones (backward cases 2, 3 and 4) only when a node below the size
-    cap first needs them. A child's key is prefix + contractum key + suffix,
-    probed against the visited sets.
+    case in _rewrites order as (shape, contractum key, direction); the
+    growing ones (backward cases 2, 3 and 4) only when a node below the
+    size cap first needs them. A child's key is prefix + contractum key +
+    suffix, probed against the visited sets.
     """
     keys: dict[Term, str] = {}
     start_key, goal_key = _key_of(keys, start), _key_of(keys, goal)
     visited = [{start_key: None}, {goal_key: None}]
     roots = (start, goal)
-    frontiers = [[(start_key, None)], [(goal_key, None)]]
+    frontiers = [[start_key], [goal_key]]
     depths = [0, 0]  # levels expanded on each side, the last perhaps in part
     if goal_key in visited[0]:
         return []
@@ -418,8 +425,10 @@ def _bidirectional_search(
         steps = []
         record = visited[side][key]
         while record is not None:
-            steps.append(ElementaryMovement(*record))
-            record = visited[side][keys[record[0]]]
+            source, at, redex, shape, case, direction = record
+            contractum = _built(shape, redex.src, redex.tgt)
+            steps.append(ElementaryMovement(source, at, redex, contractum, case, direction))
+            record = visited[side][keys[source]]
         return steps
 
     try:
@@ -435,20 +444,21 @@ def _bidirectional_search(
             seen, other = visited[side], visited[1 - side]
             largest_frontier = max(largest_frontier, len(frontiers[side]))
             depths[side] += 1
-            new_frontier: list[tuple[str, tuple]] = []
-            level = sorted(frontiers[side], key=lambda e: (len(e[0]), e[0].translate(SPELLINGS)))
-            for node_key, reached in level:
+            new_frontier: list[str] = []
+            for node_key in sorted(frontiers[side], key=lambda k: (len(k), k.translate(SPELLINGS))):
+                reached = seen[node_key]
                 if reached is None:
                     node = roots[side]
                 else:  # graft the tree at the record's occurrence
-                    source, at, redex, contractum = reached[:4]
+                    source, at, redex, shape = reached[:4]
+                    contractum = _built(shape, redex.src, redex.tgt)
                     node = _graft(_path_to(source, at, at + redex.length)[1], contractum)
                 expansions[side] += 1
                 growing = node.size < size_cap
                 sites = []  # (subterm, position, prefix, suffix, rewrites by case)
-                # Descendants before their ancestors, so that the subterms a new
-                # contractum is built from have their keys when it is spelled.
-                for sub, at in reversed(list(occurrences(node))):
+                # Descendants before their ancestors, so that the subterms in a
+                # new contractum's shape have their keys when it is spelled.
+                for sub, at in reversed(occurrences(node)):
                     end = at + sub.length
                     key = keys[sub] = node_key[at:end]
                     entry = memo.get(key)
@@ -457,30 +467,29 @@ def _bidirectional_search(
                     by_case = entry[growing]
                     if by_case is None:
                         filed: tuple[list, ...] = ([], [], [], [], [])
-                        for case, contractum, direction in _rewrites(
+                        for case, shape, direction in _rewrites(
                             extension, sub, ALL_CASES, ALL_CASES if growing else (1, 5)
                         ):
-                            filed[case - 1].append((contractum, _key_of(keys, contractum), direction))
+                            filed[case - 1].append((shape, _key_of(keys, shape), direction))
                         by_case = entry[growing] = tuple(map(tuple, filed)) if any(filed) else ()
                     if by_case:
                         sites.append((sub, at, node_key[:at], node_key[end:], by_case))
                 sites.reverse()
                 for case in (1, 2, 3, 4, 5):
                     for sub, at, prefix, suffix, by_case in sites:
-                        for contractum, contractum_key, direction in by_case[case - 1]:
+                        for shape, contractum_key, direction in by_case[case - 1]:
                             # Probe the visited sets with the child's key.
                             key = prefix + contractum_key + suffix
                             candidates += 1
                             if key in seen:
                                 continue
-                            record = (node, at, sub, contractum, case, direction)
                             records += 1
-                            seen[key] = record
+                            seen[key] = (node, at, sub, shape, case, direction)
                             if key in other:
                                 return list(reversed(chain(0, key))) + [
                                     m.inverted() for m in chain(1, key)
                                 ]
-                            new_frontier.append((key, record))
+                            new_frontier.append(key)
                             total_visited += 1
                             if total_visited > max_visited:
                                 return "visited-cap"
@@ -494,21 +503,22 @@ def _bidirectional_search(
         stats.largest_frontier = largest_frontier
 
 
-def _key_of(keys: dict, term: Term) -> str:
-    """A term's search key, kept in keys: its word's codes joined when it
-    has its word, and otherwise spelled from its factors' keys. Module
-    level, so that a search's state forms no reference cycle and is freed
-    when the search returns."""
-    key = keys.get(term)
+def _key_of(keys: dict, shape) -> str:
+    """The search key of a term, kept in keys, or of a _rewrites shape: its
+    word's codes joined when it has its word, and otherwise spelled from its
+    factors' keys. Module level, so that a search's state forms no reference
+    cycle and is freed when the search returns."""
+    if shape.__class__ is not Term:
+        left, k, right = shape
+        left, right = keys.get(left) or _key_of(keys, left), keys.get(right) or _key_of(keys, right)
+        return LPAREN.code + left + comp(k).code + right + RPAREN.code
+    key = keys.get(shape)
     if key is None:
-        word = term._word
-        if word is not None:
-            key = "".join([t.code for t in word.tokens])
+        if shape._word is not None:
+            key = "".join([t.code for t in shape._word.tokens])
         else:
-            left = keys.get(term.left) or _key_of(keys, term.left)
-            right = keys.get(term.right) or _key_of(keys, term.right)
-            key = LPAREN.code + left + comp(term.level).code + right + RPAREN.code
-        keys[term] = key
+            key = _key_of(keys, (shape.left, shape.level, shape.right))
+        keys[shape] = key
     return key
 
 

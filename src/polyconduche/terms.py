@@ -291,15 +291,17 @@ class TermIndex:
     root: tuple[int, int]
 
 
-def occurrences(term: Term):
-    """Every subterm occurrence as (subterm, start token), in token order."""
-    stack = [(term, 0)]
+def occurrences(term: Term) -> list[tuple[Term, int]]:
+    """Every subterm occurrence as (subterm, start token), as a list in token order."""
+    out, stack = [], [(term, 0)]
     while stack:
-        node, start = stack.pop()
-        yield node, start
+        item = stack.pop()
+        out.append(item)
+        node, start = item
         if node.left is not None:
             stack.append((node.right, start + node.left.length + 2))
             stack.append((node.left, start + 1))
+    return out
 
 
 def analyze_term(extension: CellularExtension, word: Word) -> TermIndex:

@@ -7,9 +7,16 @@ import pytest
 
 from polyconduche.categories import OmegaFunctor, truncate
 from polyconduche import movements, terms
+from polyconduche.conduche import full_extension
 from polyconduche.errors import Stale
-from polyconduche.fixtures import chain3_extension, eh_extension, path2_category
+from polyconduche.fixtures import (
+    chain3_extension,
+    eh_extension,
+    parallel_pair_category,
+    path2_category,
+)
 from polyconduche.movements import (
+    ALL_CASES,
     BACKWARD,
     DISTINCT,
     FORWARD,
@@ -23,7 +30,13 @@ from polyconduche.movements import (
     movement_graph_dot,
     reduce,
 )
-from polyconduche.terms import check_term, generator_multiset, random_term
+from polyconduche.terms import (
+    check_term,
+    enumerate_terms,
+    generator_multiset,
+    occurrences,
+    random_term,
+)
 from polyconduche.words import tokenize
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search_commands.json"
@@ -131,6 +144,31 @@ def test_movement_outputs_are_well_formed(seed):
         assert (parsed.src, parsed.tgt) == (t.src, t.tgt)
         assert parsed.size == out.size
         assert generator_multiset(parsed) == generator_multiset(t)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [eh_extension, chain3_extension, lambda: full_extension(parallel_pair_category(), 2)],
+    ids=["eh", "chain3", "parallel-pair"],
+)
+def test_rewrite_shapes_spell_the_words_of_their_trees(make):
+    # The search spells a contractum's key from its shape and builds the tree
+    # only where it needs one: key and tree must spell the same word, and the
+    # tree must have the boundaries the parser gives that word.
+    ext = make()
+    enumerated, _ = enumerate_terms(ext, 3)
+    subterms = {id(sub): sub for t in enumerated for sub, _ in occurrences(t)}
+    checked = 0
+    for sub in subterms.values():
+        for backward in (ALL_CASES, (1, 5)):  # growing, and not
+            for _, shape, _ in movements._rewrites(ext, sub, ALL_CASES, backward):
+                key = movements._key_of({}, shape)
+                tree = movements._built(shape, sub.src, sub.tgt)
+                assert key == "".join(token.code for token in tree.word.tokens)
+                parsed = check_term(ext, tree.word)
+                assert (tree.src, tree.tgt) == (parsed.src, parsed.tgt)
+                checked += 1
+    assert checked
 
 
 def test_reduce_strips_units_and_merges():
@@ -262,11 +300,33 @@ def test_search_builds_movements_only_for_the_witness(monkeypatch):
             built.append(args)
             super().__init__(*args)
 
+    # Records hold contractum shapes, so trees are built only to expand a
+    # node and for the witness's steps, not per rewrite or per record.
+    trees = []
+    build, search = movements._built, movements._bidirectional_search
+    inside = []
+
+    def counting_built(*args):
+        if inside:
+            trees.append(args)
+        return build(*args)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(movements, "ElementaryMovement", Counting)
+    monkeypatch.setattr(movements, "_built", counting_built)
+    monkeypatch.setattr(movements, "_bidirectional_search", watched)
     ext = eh_extension()
     outcome = equivalent(ext, term(ext, "((c:a)*0(c:b))"), term(ext, "((c:b)*0(c:a))"))
-    assert outcome.stats.records == 3_440
+    stats = outcome.stats
+    assert stats.records == 3_440
     assert 0 < len(built) <= 2 * len(outcome.witness.steps)
+    assert 0 < len(trees) <= sum(stats.expansions) + len(outcome.witness.steps)
 
 
 def test_stats_repeat_and_stay_zero_without_a_search():

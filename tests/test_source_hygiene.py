@@ -125,3 +125,28 @@ def test_every_private_name_in_the_readme_is_defined():
     named = set(re.findall(r"`(?:\w+\.)*(_\w+)", readme))
     assert named
     assert sorted(named - defined) == []
+
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_changes_interpreter_wide_state(path):
+    # A library must not tune the interpreter for every caller in the
+    # process: no module imports gc or reaches sys.setrecursionlimit.
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.split(".")[0] == "gc" or name == "setrecursionlimit"
+        ]
+    assert found == []
