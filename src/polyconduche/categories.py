@@ -5,6 +5,11 @@ codimension-1 source/target maps, identity maps, and total composition tables
 comp[(l, k)] for 0 <= k < l <= dimension. validate_category checks the seven
 strict-category axioms exhaustively and reports every violation; functors get
 the same treatment.
+
+Each index derived from a category's tables lives on the category. The level
+index is built at construction, so that a cell declared at two levels is
+refused there; the boundary maps, identity preimages and factorizations are
+cached properties, built on first read and then kept.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ TGT = "tgt"
 class PresentedCategory:
     """A finite strict n-category as explicit tables.
 
-    What is derived from the tables is built once and kept: the level and
-    identity-preimage indexes at construction, `boundaries` and the
-    factorization indexes on first read. So no cell is added or removed and
-    no identity changed after construction, and cells, src, tgt, ids and
-    comp are not edited after the first derived read; globe and
+    The indexes derived from the tables are kept (see the module docstring),
+    so no cell is added or removed after construction, and cells, src, tgt,
+    ids and comp are not edited after the first derived read; globe and
     composable_pair assign comp before any such read.
     """
 
@@ -39,12 +42,6 @@ class PresentedCategory:
     basis: dict[int, list[str]] | None = None
 
     _level_of: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _id_preimage: dict[int, dict[str, str]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _factorizations: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         if self.dimension < 0:
@@ -56,8 +53,6 @@ class PresentedCategory:
                     raise SchemaError(f"cell {cell!r} declared at levels {seen[cell]} and {level}")
                 seen[cell] = level
         self._level_of = seen
-        for level, table in self.ids.items():
-            self._id_preimage[level + 1] = {image: cell for cell, image in table.items()}
 
     # -- structural lookups -------------------------------------------------
 
@@ -116,15 +111,25 @@ class PresentedCategory:
 
     def factorizations(self, result: str, level: int, k: int) -> list[tuple[str, str]]:
         """All table pairs (left, right) with left *k right = result."""
-        key = (level, k)
-        if key not in self._factorizations:
-            index: dict[str, list[tuple[str, str]]] = {}
-            for pair, res in self.comp.get(key, {}).items():
-                index.setdefault(res, []).append(pair)
-            for pairs in index.values():
+        return self._factorizations.get((level, k), {}).get(result, [])
+
+    @cached_property
+    def _id_preimage(self) -> dict[int, dict[str, str]]:
+        """For each level l above 0, the (l-1)-cell of each identity l-cell."""
+        return {level + 1: {image: cell for cell, image in table.items()}
+                for level, table in self.ids.items()}
+
+    @cached_property
+    def _factorizations(self) -> dict[tuple[int, int], dict[str, list[tuple[str, str]]]]:
+        """For each table (level, k), the sorted pairs that compose to each result."""
+        index: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = {}
+        for key, table in self.comp.items():
+            by_result = index[key] = {}
+            for pair, res in table.items():
+                by_result.setdefault(res, []).append(pair)
+            for pairs in by_result.values():
                 pairs.sort()
-            self._factorizations[key] = index
-        return self._factorizations[key].get(result, [])
+        return index
 
     @cached_property
     def boundaries(self) -> tuple[list[dict[str, str]], list[dict[str, str]]]:

@@ -12,20 +12,20 @@ term inherits its word from its source: the source's tokens before and after
 the replaced span around the replacement's tokens. A term without a source
 word, such as a built or random one, builds its word from the tree when asked.
 
-What parsing reads of an extension is built once, on first use, and kept on
-the extension (see ParseTables): for each level k, the k-source and k-target
-of every base cell at level k or above and the (n, k) composition table,
-plus one atom term per (kind, name), which every parse, enumeration and
-movement shares.
-A lookup that misses these tables falls back to the base category, so a
-malformed or never-checked extension raises what the base raises. Because
-the tables are kept, an extension and its base must not be mutated after
-the first parse, enumeration or movement over the extension.
+Each derived table is a cached property of the object it is derived from,
+built on first read: boundaries are the base's (PresentedCategory.boundaries),
+and what parsing adds is the extension's (CellularExtension.tables, see
+ParseTables), such as the one atom term per atom token that every parse,
+enumeration and movement shares. A lookup that misses these falls back to
+the base category, so a malformed or never-checked extension raises what the
+base raises. Because the tables are kept, an extension and its base must not
+be mutated after the first parse, enumeration or movement over the extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .categories import SRC, TGT, PresentedCategory, truncate
@@ -43,6 +43,7 @@ from .words import (
     ID_KIND,
     LPAREN,
     RPAREN,
+    SymbolToken,
     Word,
     comp,
     gen,
@@ -57,11 +58,14 @@ class CellularExtension:
 
     base: PresentedCategory
     generators: dict[str, tuple[str, str]]
-    _tables: "ParseTables | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.base.dimension
+
+    @cached_property
+    def tables(self) -> "ParseTables":
+        return ParseTables(self)
 
 
 def check_extension(extension: CellularExtension) -> None:
@@ -149,65 +153,54 @@ def _tokens(term: Term) -> tuple:
 
 
 class ParseTables:
-    """What parsing reads of an extension, kept on it from the first use on.
+    """What parsing reads of an extension beyond its base's own tables, kept
+    on the extension (CellularExtension.tables) from the first use on.
 
-    sources and targets are the base's boundaries, kept here for the hot
-    path. composites[k] maps each pair (x, y) of the (n, k)
-    composition table whose x is a top cell to x *k y. atoms holds the
-    one atom term per (kind, name), and units the atom of _unit_on per
-    (cell, k, side) asked for; parsed maps each atom token that a parse has
-    accepted to its atom term, and symbols holds the composition tokens *0
-    to *n.
+    composites[k] maps each pair (x, y) of the (n, k) composition table
+    whose x is a top cell to x *k y. atoms maps each atom token to the one
+    atom term of the extension for it, and units holds the atom of _unit_on
+    per (cell, k, side) asked for; symbols holds the composition tokens *0
+    to *n. Boundaries are read from the base's own maps.
     """
 
-    __slots__ = (
-        "dimension", "sources", "targets", "composites", "atoms", "units", "parsed", "symbols",
-    )
+    __slots__ = ("composites", "atoms", "units", "symbols")
 
     def __init__(self, extension: CellularExtension):
         base = extension.base
-        n = self.dimension = base.dimension
-        self.sources, self.targets = base.boundaries
+        n = base.dimension
         tops = set(base.cells.get(n, []))
         self.composites = {
             k: {pair: cell for pair, cell in base.comp.get((n, k), {}).items() if pair[0] in tops}
             for k in range(n)
         }
-        self.atoms: dict[tuple[str, str], Term] = {}
+        self.atoms: dict[SymbolToken, Term] = {}
         self.units: dict[tuple[str, int, str], Term] = {}
-        self.parsed: dict = {}
         self.symbols = frozenset(comp(k) for k in range(n + 1))
 
 
-def _tables_of(extension: CellularExtension) -> ParseTables:
-    tables = extension._tables
-    if tables is None:
-        tables = extension._tables = ParseTables(extension)
-    return tables
-
-
 def _atom(extension: CellularExtension, kind: str, name: str) -> Term:
-    """The atom term for a generator or top base cell, one per (kind, name)
+    """The atom term for a generator or top base cell, one per atom token
     and extension; the caller has checked the name."""
-    atoms = _tables_of(extension).atoms
-    atom = atoms.get((kind, name))
+    token = gen(name) if kind == GENERATOR else ident_of(name)
+    atoms = extension.tables.atoms
+    atom = atoms.get(token)
     if atom is None:
         src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
-        atom = atoms[(kind, name)] = Term(extension, kind, name, None, None, None, src, tgt, 0, 3)
-        atom._word = atom_word(kind, name)
+        atom = atoms[token] = Term(extension, kind, name, None, None, None, src, tgt, 0, 3)
+        atom._word = Word((LPAREN, token, RPAREN))
     return atom
 
 
 def meets(extension: CellularExtension, left_src: str, k: int, right_tgt: str) -> bool:
     """Can a term with n-source left_src follow one with n-target right_tgt
     at level k?"""
-    tables = extension._tables or _tables_of(extension)
-    if k == tables.dimension:
+    base = extension.base
+    if k == base.dimension:
         return left_src == right_tgt
+    sources, targets = base.boundaries
     try:
-        return tables.sources[k][left_src] == tables.targets[k][right_tgt]
+        return sources[k][left_src] == targets[k][right_tgt]
     except KeyError:
-        base = extension.base
         return base.boundary(left_src, k, SRC) == base.boundary(right_tgt, k, TGT)
 
 
@@ -220,9 +213,9 @@ def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
     n = extension.dimension
     if k == n:
         return cell
-    tables = extension._tables or _tables_of(extension)
+    sources, targets = base.boundaries
     try:
-        below = (tables.sources if side == SRC else tables.targets)[k][cell]
+        below = (sources if side == SRC else targets)[k][cell]
     except KeyError:
         below = base.boundary(cell, k, side)
     return base.identity_to(below, n)
@@ -230,7 +223,7 @@ def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
 
 def _unit_atom(extension: CellularExtension, cell: str, k: int, side: str) -> Term:
     """The identity atom of _unit_on."""
-    units = _tables_of(extension).units
+    units = extension.tables.units
     atom = units.get((cell, k, side))
     if atom is None:
         atom = _atom(extension, IDENTITY, _unit_on(extension, cell, k, side))
@@ -250,15 +243,14 @@ def _pair(left: Term, k: int, right: Term) -> Term:
     """(left *k right) built from its factors, which the caller has checked
     to meet at level k."""
     extension = left.extension
-    tables = extension._tables or _tables_of(extension)
-    if k == tables.dimension:
+    base = extension.base
+    if k == base.dimension:
         return _composite(left, k, right, right.src, left.tgt)
     try:
-        table = tables.composites[k]
+        table = extension.tables.composites[k]
         src = table[(left.src, right.src)]
         tgt = table[(left.tgt, right.tgt)]
     except KeyError:
-        base = extension.base
         src = base.compose(left.src, right.src, k)
         tgt = base.compose(left.tgt, right.tgt, k)
     return _composite(left, k, right, src, tgt)
@@ -332,13 +324,13 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
     interpreter's recursion limit. Atom tokens and composition symbols are
     looked up in the extension's ParseTables; only a token that is not
     there yet is checked against the extension. Each composite is closed
-    from the tables' boundary and composition maps; a cell they miss goes
-    through meets and _pair, which ask the base.
+    from the base's boundary maps and the tables' composition maps; a cell
+    they miss goes through meets and _pair, which ask the base.
     """
-    tables = _tables_of(extension)
-    parsed, symbols = tables.parsed, tables.symbols
-    sources, targets, composites = tables.sources, tables.targets, tables.composites
+    tables = extension.tables
+    atoms, symbols, composites = tables.atoms, tables.symbols, tables.composites
     base = extension.base
+    sources, targets = base.boundaries
     n = base.dimension
     tokens = word.tokens
     count = len(tokens)
@@ -355,7 +347,7 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
             pending += (None, 0)
             start += 1
             continue
-        node = parsed.get(head)
+        node = atoms.get(head)
         if node is None:
             if head.kind == GEN_KIND:
                 if head.value not in extension.generators:
@@ -367,7 +359,7 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
                 kind = IDENTITY
             else:
                 raise NotWellFormed(start + 1, "ShapeError", f"unexpected {head.text()!r}")
-            node = parsed[head] = _atom(extension, kind, head.value)
+            node = _atom(extension, kind, head.value)
         end = start + 3
         if end > count or tokens[end - 1] is not RPAREN:
             raise NotWellFormed(end - 1, "ShapeError", "expected ')'")
@@ -598,12 +590,12 @@ def enumerate_terms(
     factors with the smaller terms it is built from, so the list is
     factor-closed.
     """
-    tables = _tables_of(extension)
+    sources, targets = extension.base.boundaries
     return _enumerate(
         all_atoms(extension),
         extension.dimension,
-        lambda term, k: tables.sources[k][term.src],
-        lambda term, k: tables.targets[k][term.tgt],
+        lambda term, k: sources[k][term.src],
+        lambda term, k: targets[k][term.tgt],
         _pair,
         max_size,
         max_count,

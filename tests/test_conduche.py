@@ -48,10 +48,20 @@ from polyconduche.movements import (
     SearchBounds,
     apply_movement,
     enumerate_movements,
+    equivalent,
 )
 from polyconduche.polygraphs import check_basis
-from polyconduche.terms import GENERATOR, all_atoms, atom_word, check_term, compose_terms, pair_word
-from polyconduche.words import serialize, tokenize
+from polyconduche.terms import (
+    GENERATOR,
+    CellularExtension,
+    all_atoms,
+    atom_word,
+    check_term,
+    compose_terms,
+    enumerate_terms,
+    pair_word,
+)
+from polyconduche.words import Word, serialize, tokenize
 
 
 def term(extension, text):
@@ -98,6 +108,14 @@ def test_nabla_and_kappa_split_the_verdict():
     g = collapse_functor()
     assert check_nabla(g, 1, 0).verdict == FAIL
     assert check_kappa(g, 1, 0).verdict == PASS
+
+
+@pytest.mark.parametrize("check", [check_nabla, check_kappa])
+@pytest.mark.parametrize("k", [1, -1])
+def test_nabla_and_kappa_refuse_a_level_outside_0_to_n(check, k):
+    # Both need 0 <= k < n: k = n and a negative k are usage errors.
+    with pytest.raises(SchemaError):
+        check(collapse_functor(), 1, k)
 
 
 def test_extension_morphism_validates():
@@ -278,6 +296,37 @@ def test_fiber_bijection_runs_each_search_once(
     report = check_fiber_bijection(*fiber_query(functor, representative))
     assert (report.verdict, report.witness) == expected
     assert len(keys) == len(set(keys)) == searches
+
+
+def test_fiber_bijection_with_one_unknown_side_is_unknown():
+    # Every source membership is decided and every target member is hit, but
+    # one target membership is Unknown: that side alone makes the verdict
+    # Unknown.
+    m = morphism_from_functor(collapse_functor(), 1)
+    a = check_term(m.source, pair_word(atom_word(GENERATOR, "u"), 0, atom_word(GENERATOR, "1x")))
+
+    def memberships(extension, representative):
+        ext = CellularExtension(extension.base, dict(sorted(extension.generators.items())))
+        return {
+            candidate.word.tokens: equivalent(ext, candidate, representative, SearchBounds()).verdict
+            for candidate in enumerate_terms(ext, 1)[0]
+        }
+
+    source = memberships(m.source, a)
+    target = memberships(m.target, induced_term(m, a))
+    assert set(source.values()) == {movements.WITNESS, movements.DISTINCT}
+    assert movements.UNKNOWN in target.values()
+    hit = {induced_word_map(m, Word(tokens)).tokens
+           for tokens, verdict in source.items() if verdict == movements.WITNESS}
+    assert {tokens for tokens, verdict in target.items() if verdict == movements.WITNESS} <= hit
+    assert check_fiber_bijection(m, a, 1, SearchBounds()).verdict == UNKNOWN
+
+
+def test_fiber_bijection_of_an_identity_passes():
+    # Every membership is decided, and each member is its own image.
+    m = morphism_from_functor(identity_functor(arrow_category()), 1)
+    a = check_term(m.source, atom_word(GENERATOR, "u"))
+    assert check_fiber_bijection(m, a, 2, SearchBounds()).verdict == PASS
 
 
 def test_rigidity():

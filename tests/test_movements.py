@@ -240,6 +240,18 @@ def test_equivalent_starved_is_unknown():
     assert outcome.reason == "step-cap"
 
 
+def test_step_budget_ends_a_search_whose_other_frontier_is_empty():
+    # At size slack 0 one side's frontier empties after one expansion, while
+    # the other side still holds its start but has no step left: the search
+    # ends on the step budget. An early exit once a frontier empties (ROADMAP
+    # O13 step 3) would make this reason "exhausted-under-cap" on purpose.
+    ext = eh_extension()
+    u = term(ext, "((c:a)*0(c:b))")
+    v = term(ext, "((c:b)*0(c:a))")
+    outcome = equivalent(ext, u, v, SearchBounds(size_slack=0, max_steps=1))
+    assert (outcome.verdict, outcome.reason) == (UNKNOWN, "step-cap")
+
+
 def test_search_bounds_from_env(monkeypatch):
     monkeypatch.setenv("POLYCONDUCHE_MAX_VISITED", "1234")
     assert SearchBounds.from_env().max_visited == 1234
