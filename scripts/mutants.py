@@ -2,7 +2,7 @@
 the source changes? Run from the root of a git checkout:
 
     python3 scripts/mutants.py --modules conduche movements --count 25 --seed 1
-    python3 scripts/mutants.py --modules conduche --function check_nabla --list
+    python3 scripts/mutants.py --modules conduche --function check_nabla
     python3 scripts/mutants.py --modules movements --line 442 --operator "or -> and"
 
 Three operators make the mutants, each at one site of a module:
@@ -16,8 +16,8 @@ are drawn with `--seed`, so a run is repeated by its arguments. Each mutant
 is written into a temporary copy of the checkout (the files git lists, with
 src/ mutated in the copy only) and first runs the module's own test files,
 tests/test_<module>.py and tests/test_<module>_*.py. A mutant that survives
-them then runs all of tier-1. Each run has a timeout (`--timeout`, 120 s by
-default); a run that times out counts as killed. For every survivor the
+them then runs all of tier-1. Each run has a timeout of TIMEOUT seconds; a
+run that times out counts as killed. For every survivor the
 script prints the module, function, line and operator, and it exits 1 when
 one survives (2 when a module's tests fail in the copy before any
 mutant). Mutants that behave like the original are in SKIP, each with
@@ -40,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/polyconduche")
+TIMEOUT = 120  # seconds per test run
 
 # Operator -> (its text, the text of its mutant).
 FLIPS = {
@@ -190,13 +191,13 @@ def copy_checkout(into: Path) -> None:
             shutil.copy2(source, target)
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
+def run_tests(tree: Path, tests: list[str]) -> str:
     """The outcome of pytest over the given tests in a tree: pass, fail or
     timeout."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
@@ -216,11 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--function", help="only the sites in this function (name or dotted path)")
     parser.add_argument("--line", type=int, help="only the sites on this line")
     parser.add_argument("--operator", help='only this operator, as printed: "or -> and"')
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per test run")
-    parser.add_argument("--list", action="store_true", help="print the drawn mutants, run none")
     args = parser.parse_args(argv)
-    if args.count < 0 or args.timeout <= 0:
-        parser.error("--count must be non-negative and --timeout positive")
+    if args.count < 0:
+        parser.error("--count must be non-negative")
 
     drawn: list[Mutant] = []
     for module in args.modules:
@@ -233,17 +232,12 @@ def main(argv: list[str] | None = None) -> int:
         ]
         rng = random.Random(f"{args.seed}:{module}")
         drawn += sorted(rng.sample(sites, min(args.count, len(sites))), key=lambda m: m.line)
-    if args.list:
-        for mutant in drawn:
-            print(mutant.label() + ("  [skip]" if mutant.key() in SKIP else ""))
-        return 0
-
     survivors: list[Mutant] = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch)
         copy_checkout(tree)
         for module in {mutant.module for mutant in drawn}:
-            if run_tests(tree, module_tests(tree, module), args.timeout) != "pass":
+            if run_tests(tree, module_tests(tree, module)) != "pass":
                 print(f"the tests of {module} fail without a mutant")
                 return 2
         for mutant in drawn:
@@ -254,9 +248,9 @@ def main(argv: list[str] | None = None) -> int:
             original = path.read_bytes()
             path.write_bytes(apply(original, mutant))
             try:
-                status = run_tests(tree, module_tests(tree, mutant.module), args.timeout)
+                status = run_tests(tree, module_tests(tree, mutant.module))
                 if status == "pass":
-                    status = run_tests(tree, ["tests"], args.timeout)
+                    status = run_tests(tree, ["tests"])
             finally:
                 path.write_bytes(original)
             verdict = "SURVIVED" if status == "pass" else f"killed ({status})"

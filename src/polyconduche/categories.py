@@ -8,8 +8,9 @@ the same treatment.
 
 Each index derived from a category's tables lives on the category. The level
 index is built at construction, so that a cell declared at two levels is
-refused there; the boundary maps, identity preimages and factorizations are
-cached properties, built on first read and then kept.
+refused there; the boundary maps and identity preimages are cached
+properties, built on first read and then kept, and the factorization index
+is one too, filled one composition table at a time as tables are asked for.
 """
 
 from __future__ import annotations
@@ -111,7 +112,12 @@ class PresentedCategory:
 
     def factorizations(self, result: str, level: int, k: int) -> list[tuple[str, str]]:
         """All table pairs (left, right) with left *k right = result."""
-        return self._factorizations.get((level, k), {}).get(result, [])
+        index = self._factorizations.get((level, k))
+        if index is None:
+            index = self._factorizations[(level, k)] = {}
+            for pair, res in sorted(self.comp.get((level, k), {}).items()):
+                index.setdefault(res, []).append(pair)
+        return index.get(result, [])
 
     @cached_property
     def _id_preimage(self) -> dict[int, dict[str, str]]:
@@ -121,15 +127,9 @@ class PresentedCategory:
 
     @cached_property
     def _factorizations(self) -> dict[tuple[int, int], dict[str, list[tuple[str, str]]]]:
-        """For each table (level, k), the sorted pairs that compose to each result."""
-        index: dict[tuple[int, int], dict[str, list[tuple[str, str]]]] = {}
-        for key, table in self.comp.items():
-            by_result = index[key] = {}
-            for pair, res in table.items():
-                by_result.setdefault(res, []).append(pair)
-            for pairs in by_result.values():
-                pairs.sort()
-        return index
+        """For each table (level, k) that factorizations was asked about, the
+        sorted pairs that compose to each result."""
+        return {}
 
     @cached_property
     def boundaries(self) -> tuple[list[dict[str, str]], list[dict[str, str]]]:

@@ -14,7 +14,7 @@ word, such as a built or random one, builds its word from the tree when asked.
 
 Each derived table is a cached property of the object it is derived from,
 built on first read: boundaries are the base's (PresentedCategory.boundaries),
-and what parsing adds is the extension's (CellularExtension.tables, see
+and what parsing adds is the extension's (CellularExtension._tables, see
 ParseTables), such as the one atom term per atom token that every parse,
 enumeration and movement shares. A lookup that misses these falls back to
 the base category, so a malformed or never-checked extension raises what the
@@ -64,7 +64,7 @@ class CellularExtension:
         return self.base.dimension
 
     @cached_property
-    def tables(self) -> "ParseTables":
+    def _tables(self) -> "ParseTables":
         return ParseTables(self)
 
 
@@ -154,7 +154,7 @@ def _tokens(term: Term) -> tuple:
 
 class ParseTables:
     """What parsing reads of an extension beyond its base's own tables, kept
-    on the extension (CellularExtension.tables) from the first use on.
+    on the extension (CellularExtension._tables) from the first use on.
 
     composites[k] maps each pair (x, y) of the (n, k) composition table
     whose x is a top cell to x *k y. atoms maps each atom token to the one
@@ -182,7 +182,7 @@ def _atom(extension: CellularExtension, kind: str, name: str) -> Term:
     """The atom term for a generator or top base cell, one per atom token
     and extension; the caller has checked the name."""
     token = gen(name) if kind == GENERATOR else ident_of(name)
-    atoms = extension.tables.atoms
+    atoms = extension._tables.atoms
     atom = atoms.get(token)
     if atom is None:
         src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
@@ -223,7 +223,7 @@ def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
 
 def _unit_atom(extension: CellularExtension, cell: str, k: int, side: str) -> Term:
     """The identity atom of _unit_on."""
-    units = extension.tables.units
+    units = extension._tables.units
     atom = units.get((cell, k, side))
     if atom is None:
         atom = _atom(extension, IDENTITY, _unit_on(extension, cell, k, side))
@@ -247,7 +247,7 @@ def _pair(left: Term, k: int, right: Term) -> Term:
     if k == base.dimension:
         return _composite(left, k, right, right.src, left.tgt)
     try:
-        table = extension.tables.composites[k]
+        table = extension._tables.composites[k]
         src = table[(left.src, right.src)]
         tgt = table[(left.tgt, right.tgt)]
     except KeyError:
@@ -327,7 +327,7 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
     from the base's boundary maps and the tables' composition maps; a cell
     they miss goes through meets and _pair, which ask the base.
     """
-    tables = extension.tables
+    tables = extension._tables
     atoms, symbols, composites = tables.atoms, tables.symbols, tables.composites
     base = extension.base
     sources, targets = base.boundaries
