@@ -504,21 +504,17 @@ def _bidirectional_search(
 
 
 def _key_of(keys: dict, shape) -> str:
-    """The search key of a term, kept in keys, or of a _rewrites shape: its
-    word's codes joined when it has its word, and otherwise spelled from its
-    factors' keys. Module level, so that a search's state forms no reference
-    cycle and is freed when the search returns."""
+    """The search key of a _rewrites shape, spelled from its factors' keys,
+    or of a term: its word's codes joined, kept in keys. Module level, so
+    that a search's state forms no reference cycle and is freed when the
+    search returns."""
     if shape.__class__ is not Term:
         left, k, right = shape
         left, right = keys.get(left) or _key_of(keys, left), keys.get(right) or _key_of(keys, right)
         return LPAREN.code + left + comp(k).code + right + RPAREN.code
     key = keys.get(shape)
     if key is None:
-        if shape._word is not None:
-            key = "".join([t.code for t in shape._word.tokens])
-        else:
-            key = _key_of(keys, (shape.left, shape.level, shape.right))
-        keys[shape] = key
+        key = keys[shape] = "".join([t.code for t in shape.word.tokens])
     return key
 
 

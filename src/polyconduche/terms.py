@@ -12,14 +12,16 @@ term inherits its word from its source: the source's tokens before and after
 the replaced span around the replacement's tokens. A term without a source
 word, such as a built or random one, builds its word from the tree when asked.
 
-Each derived table is a cached property of the object it is derived from,
-built on first read: boundaries are the base's (PresentedCategory.boundaries),
-and what parsing adds is the extension's (CellularExtension._tables, see
-ParseTables), such as the one atom term per atom token that every parse,
-enumeration and movement shares. A lookup that misses these falls back to
-the base category, so a malformed or never-checked extension raises what the
-base raises. Because the tables are kept, an extension and its base must not
-be mutated after the first parse, enumeration or movement over the extension.
+An extension adds only (n+1)-generators, so every boundary and composite a
+term reads is its base's: parsing, enumeration and movements read the base's
+boundary maps (PresentedCategory.boundaries) and composition tables (comp).
+The extension keeps only the atom terms it interns (CellularExtension._atoms),
+built on first use: one per atom token, shared by every parse, enumeration
+and movement, and the unit atom of _unit_atom per (cell, k, side). A lookup
+that misses the base's maps falls back to the base's own methods, so a
+malformed or never-checked extension raises what the base raises. Because the
+atoms and maps are kept, an extension and its base must not be mutated after
+the first parse, enumeration or movement over the extension.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .words import (
     ID_KIND,
     LPAREN,
     RPAREN,
-    SymbolToken,
     Word,
     comp,
     gen,
@@ -64,8 +65,10 @@ class CellularExtension:
         return self.base.dimension
 
     @cached_property
-    def _tables(self) -> "ParseTables":
-        return ParseTables(self)
+    def _atoms(self) -> dict:
+        """The atom terms this extension interns, by atom token (see _atom)
+        and by (cell, k, side) for _unit_atom."""
+        return {}
 
 
 def check_extension(extension: CellularExtension) -> None:
@@ -152,37 +155,11 @@ def _tokens(term: Term) -> tuple:
     return tuple(out)
 
 
-class ParseTables:
-    """What parsing reads of an extension beyond its base's own tables, kept
-    on the extension (CellularExtension._tables) from the first use on.
-
-    composites[k] maps each pair (x, y) of the (n, k) composition table
-    whose x is a top cell to x *k y. atoms maps each atom token to the one
-    atom term of the extension for it, and units holds the atom of _unit_on
-    per (cell, k, side) asked for; symbols holds the composition tokens *0
-    to *n. Boundaries are read from the base's own maps.
-    """
-
-    __slots__ = ("composites", "atoms", "units", "symbols")
-
-    def __init__(self, extension: CellularExtension):
-        base = extension.base
-        n = base.dimension
-        tops = set(base.cells.get(n, []))
-        self.composites = {
-            k: {pair: cell for pair, cell in base.comp.get((n, k), {}).items() if pair[0] in tops}
-            for k in range(n)
-        }
-        self.atoms: dict[SymbolToken, Term] = {}
-        self.units: dict[tuple[str, int, str], Term] = {}
-        self.symbols = frozenset(comp(k) for k in range(n + 1))
-
-
 def _atom(extension: CellularExtension, kind: str, name: str) -> Term:
     """The atom term for a generator or top base cell, one per atom token
     and extension; the caller has checked the name."""
     token = gen(name) if kind == GENERATOR else ident_of(name)
-    atoms = extension._tables.atoms
+    atoms = extension._atoms
     atom = atoms.get(token)
     if atom is None:
         src, tgt = extension.generators[name] if kind == GENERATOR else (name, name)
@@ -223,11 +200,11 @@ def _unit_on(extension: CellularExtension, cell: str, k: int, side: str) -> str:
 
 def _unit_atom(extension: CellularExtension, cell: str, k: int, side: str) -> Term:
     """The identity atom of _unit_on."""
-    units = extension._tables.units
-    atom = units.get((cell, k, side))
+    atoms = extension._atoms
+    atom = atoms.get((cell, k, side))
     if atom is None:
         atom = _atom(extension, IDENTITY, _unit_on(extension, cell, k, side))
-        units[(cell, k, side)] = atom
+        atoms[(cell, k, side)] = atom
     return atom
 
 
@@ -242,12 +219,11 @@ def _composite(left: Term, k: int, right: Term, src: str, tgt: str) -> Term:
 def _pair(left: Term, k: int, right: Term) -> Term:
     """(left *k right) built from its factors, which the caller has checked
     to meet at level k."""
-    extension = left.extension
-    base = extension.base
+    base = left.extension.base
     if k == base.dimension:
         return _composite(left, k, right, right.src, left.tgt)
     try:
-        table = extension._tables.composites[k]
+        table = base.comp[(base.dimension, k)]
         src = table[(left.src, right.src)]
         tgt = table[(left.tgt, right.tgt)]
     except KeyError:
@@ -321,16 +297,16 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
     Composites still being read wait on an explicit stack, each as two
     entries: its left factor, None until read, and the position of its
     composition symbol. So nesting depth is not bounded by the
-    interpreter's recursion limit. Atom tokens and composition symbols are
-    looked up in the extension's ParseTables; only a token that is not
-    there yet is checked against the extension. Each composite is closed
-    from the base's boundary maps and the tables' composition maps; a cell
-    they miss goes through meets and _pair, which ask the base.
+    interpreter's recursion limit. Atom tokens are looked up in the atoms
+    the extension interns; only a token that is not there yet is checked
+    against the extension. Each composite is closed from the base's
+    boundary maps and composition tables; a cell they miss goes through
+    meets and _pair, which ask the base.
     """
-    tables = extension._tables
-    atoms, symbols, composites = tables.atoms, tables.symbols, tables.composites
+    atoms = extension._atoms
     base = extension.base
     sources, targets = base.boundaries
+    tables = base.comp
     n = base.dimension
     tokens = word.tokens
     count = len(tokens)
@@ -375,7 +351,7 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
                     meet, src, tgt = left.src == node.tgt, node.src, left.tgt
                 else:
                     meet = sources[k][left.src] == targets[k][node.tgt]
-                    table = composites[k]
+                    table = tables[(n, k)]
                     src, tgt = table[(left.src, node.src)], table[(left.tgt, node.tgt)]
             except KeyError:  # a cell the tables miss: the base decides, or raises
                 meet, src = meets(extension, left.src, k, node.tgt), None
@@ -396,12 +372,11 @@ def check_term(extension: CellularExtension, word: Word) -> Term:
                 node._word = word  # the parsed word is the term's: keep, not rebuild
             return node
         # The term is a left factor: read its composition symbol.
-        if end >= count or tokens[end] not in symbols:
-            if end >= count or tokens[end].kind != COMP_KIND:
-                raise NotWellFormed(end, "ShapeError", "expected a composition symbol")
-            k = int(tokens[end].value)
-            if k > n:
-                raise NotWellFormed(end, "LevelOutOfRange", f"*{k} in a dimension-{n} extension")
+        if end >= count or tokens[end].kind != COMP_KIND:
+            raise NotWellFormed(end, "ShapeError", "expected a composition symbol")
+        if tokens[end].value > n:
+            symbol = tokens[end].text()
+            raise NotWellFormed(end, "LevelOutOfRange", f"{symbol} in a dimension-{n} extension")
         pending[-2] = node
         pending[-1] = end
         start = end + 1

@@ -322,6 +322,34 @@ def test_fiber_bijection_with_one_unknown_side_is_unknown():
     assert check_fiber_bijection(m, a, 1, SearchBounds()).verdict == UNKNOWN
 
 
+def test_fiber_bijection_with_only_the_source_side_unknown_is_unknown():
+    # Two loops a, b on one object both map to the loop g. The only source
+    # member up to size 1 is the representative, whose image is the one
+    # target member, so nothing fails; but ((c:b)*0(c:a)) is Unknown against
+    # it, and that source side alone makes the verdict Unknown. Once O14
+    # step 2 makes that word distinct at dimension 0, this query passes and
+    # the test changes with it.
+    base = PresentedCategory(0, {0: ["x"]}, {}, {}, {}, {})
+    source = CellularExtension(base, {"a": ("x", "x"), "b": ("x", "x")})
+    target = CellularExtension(base, {"g": ("x", "x")})
+    m = ExtensionMorphism(source, target, identity_functor(base), {"a": "g", "b": "g"})
+    check_extension_morphism(m)
+    a = term(source, "((c:a)*0(c:b))")
+
+    def memberships(extension, representative):
+        return {
+            candidate.serialize(): equivalent(extension, candidate, representative).verdict
+            for candidate in enumerate_terms(extension, 1)[0]
+        }
+
+    source_side = memberships(source, a)
+    unknown = [word for word, verdict in source_side.items() if verdict == movements.UNKNOWN]
+    assert unknown == ["((c:b)*0(c:a))"]
+    target_side = memberships(target, induced_term(m, a))
+    assert set(target_side.values()) == {movements.WITNESS, movements.DISTINCT}
+    assert check_fiber_bijection(m, a, 1, SearchBounds()).verdict == UNKNOWN
+
+
 def test_fiber_bijection_of_an_identity_passes():
     # Every membership is decided, and each member is its own image.
     m = morphism_from_functor(identity_functor(arrow_category()), 1)

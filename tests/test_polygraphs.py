@@ -175,17 +175,16 @@ def test_basis_verdicts_need_no_search(monkeypatch, name, expected, rebuilt):
     calls = {"equivalent": 0, "_term_of": 0}
     for function in calls:
         monkeypatch.setattr(polygraphs, function, counting(calls, function))
-    # The records read the category's tables: the extension, a truncated
-    # copy of the category, and its ParseTables are built only when a term
-    # is rebuilt over it.
-    built = {"ParseTables": 0, "truncate": 0}
+    # The records read the category's tables: the extension and a truncated
+    # copy of the category are built only when a term is rebuilt over it.
+    built = {"CellularExtension": 0, "truncate": 0}
     for function in built:
         monkeypatch.setattr(terms, function, counting(built, function, terms))
     verdict = check_basis(category, 1, sigma)
     assert verdict.verdict == expected
     assert calls == {"equivalent": 0, "_term_of": rebuilt}
     expected_built = {"chain7": 0, "path2-all": 1}[name]
-    assert built == {"ParseTables": expected_built, "truncate": expected_built}
+    assert built == {"CellularExtension": expected_built, "truncate": expected_built}
 
 
 def test_basis_records_are_listed_only_to_the_split_size(monkeypatch):
@@ -235,12 +234,12 @@ def test_level_one_basis_verdicts_list_no_record(monkeypatch, name):
     monkeypatch.setattr(polygraphs, "_split_size", keyed)
     calls = {"_value_buckets": 0}
     monkeypatch.setattr(polygraphs, "_value_buckets", counting(calls, "_value_buckets"))
-    built = {"ParseTables": 0}
-    monkeypatch.setattr(terms, "ParseTables", counting(built, "ParseTables", terms))
+    built = {"CellularExtension": 0}
+    monkeypatch.setattr(terms, "CellularExtension", counting(built, "CellularExtension", terms))
     assert check_basis(category, 1, sigma).verdict == BASIS
     assert keys == [True]
     assert calls == {"_value_buckets": 0}
-    assert built == {"ParseTables": 0}
+    assert built == {"CellularExtension": 0}
 
 
 def test_level_one_word_count_meets_max_terms_exactly():
@@ -276,6 +275,46 @@ def test_level_two_words_with_the_same_atoms_are_searched():
         "unresolved": ["b"],
     }
     assert check_basis(category, 2, ["a"], BasisBounds(word_size=1)).verdict == BASIS
+
+
+def commutative_category_cut_at_4():
+    """One object o and the monoid N^2 cut at degree 4, built as
+    commutative_category() in test_fiber_reference.py builds its cut at
+    degree 3: a cell per degree (i, j) in (a, b) below 4, named m<i><j> from
+    degree 2 on, and z for every degree of 4 or more."""
+    degree = {"1o": (0, 0), "a": (1, 0), "b": (0, 1)}
+    degree.update({f"m{i}{j}": (i, j) for i in range(4) for j in range(4) if 2 <= i + j <= 3})
+    degree["z"] = (4, 0)
+    named = {d: x for x, d in degree.items()}
+    cells = list(degree)
+    comp = {
+        (x, y): named.get((degree[x][0] + degree[y][0], degree[x][1] + degree[y][1]), "z")
+        for x in cells
+        for y in cells
+    }
+    return PresentedCategory(
+        1,
+        {0: ["o"], 1: cells},
+        {1: {x: "o" for x in cells}},
+        {1: {x: "o" for x in cells}},
+        {0: {"o": "1o"}},
+        {(1, 0): comp},
+    )
+
+
+def test_level_one_preimages_with_the_first_ones_sequence_are_not_searched(monkeypatch):
+    # At level 1, two preimages with one generator sequence are equal by
+    # re-association, so connected searches only the preimages whose
+    # sequence differs from the first one's. m11, m12 and m21 each stop at
+    # their first Unknown search, and z has no preimage within the bound.
+    # Searching the same-sequence preimages too takes 5 searches.
+    category = commutative_category_cut_at_4()
+    assert validate_category(category).ok
+    calls = {"equivalent": 0}
+    monkeypatch.setattr(polygraphs, "equivalent", counting(calls, "equivalent"))
+    verdict = check_basis(category, 1, ["a", "b"], BasisBounds(word_size=2))
+    assert verdict.to_json() == {"verdict": UNKNOWN, "unresolved": ["m11", "m12", "m21", "z"]}
+    assert calls == {"equivalent": 3}
 
 
 def counting(calls, name, module=polygraphs):

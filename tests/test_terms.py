@@ -16,6 +16,7 @@ from polyconduche.terms import (
     GENERATOR,
     _enumerate,
     _pair,
+    all_atoms,
     check_term,
     compose_terms,
     enumerate_terms,
@@ -218,6 +219,22 @@ def test_random_term_is_deterministic_and_bounded():
     # it parses back to the same boundaries
     again = check_term(ext, t1.word)
     assert (again.src, again.tgt) == (t1.src, t1.tgt)
+
+
+def test_random_term_grows_only_below_the_size_it_draws():
+    # random_term draws a first atom and then a target size, and pairs only
+    # while the term is smaller than the target: a target of 0 gives that
+    # atom, and any other target a composite.
+    ext = chain3_extension()
+    targets = set()
+    for seed in range(40):
+        draws = Random(seed)
+        first = draws.choice(all_atoms(ext))
+        target = draws.randint(0, 4)
+        targets.add(target)
+        t = random_term(ext, Random(seed), 4)
+        assert t is first if target == 0 else t.size > 0
+    assert 0 in targets and len(targets) > 1
 
 
 def _reference_tokens(t):
