@@ -31,7 +31,7 @@ from .terms import (
     CellularExtension,
     Term,
     _enumerate,
-    _term_of,
+    _spelled,
     _value_buckets,
     check_term,
     enumerate_terms,
@@ -327,14 +327,18 @@ def fiber_conduche(
     as factors, so the level needs only its classes (value, N), each at its
     least size, and not its words.
 
-    A level without failing cells lists no word. A failing level's
-    witnesses come from _record_failures run at size s*, the largest of the
-    failing cells' least witness sizes. Records are listed smallest first,
-    and the image map keeps sizes, so every bucket up to s* is the prefix of
-    the one at the full bound; a cell's first collision and its first unhit
-    target word have the least size of a witness class, at most s*, and no
-    cell passes at s* that fails at the full bound. So the report is the
-    one the records give at the full bound, to the byte.
+    A cell's witness is its first collision among its source words, else
+    its first unhit target word, in the order of terms._enumerate. The
+    unhit words are those of the classes of value F(a) without a in N, and
+    the classes come in the order of their first words (see _fiber_classes),
+    so the first unhit word is the first word of the first such class: no
+    target word is listed. Only a level with an injectivity failure lists
+    words, its source side's, as terms._value_buckets records keyed by their
+    image word's shape, up to the largest least collision size of its
+    cells. Records come smallest first and a collision pairs two words of
+    one size, so each bucket holds the cell's first collision of the full
+    bound. Witnesses are spelled from records and back-pointers
+    (terms._spelled), with no term built: the bytes of the full listing.
     """
     if up_to_dim is None:
         up_to_dim = functor.source.dimension
@@ -342,27 +346,51 @@ def fiber_conduche(
     failures: list[dict] = []
     for level in range(1, up_to_dim + 1):
         classes = _fiber_classes(functor, level, size_bound)
-        witness_sizes = []
-        for a in functor.source.cells.get(level, []):
-            fa = functor.apply(a)
-            sizes = [size for _, counts, size in classes if counts.get(a) == 2]
-            if not sizes:
-                sizes = [size for value, counts, size in classes if value == fa and a not in counts]
-            if sizes:
-                witness_sizes.append(min(sizes))
-        if witness_sizes:
-            failures += _record_failures(functor, level, max(witness_sizes))
+        cells = functor.source.cells.get(level, [])
+        # cell -> least size of a class with N(cell) = 2 (read backwards, the least wins)
+        twice = {v: c[5] for c in reversed(classes) for v, count in c[1].items() if count == 2}
+        if twice:
+            buckets, _ = _value_buckets(
+                functor.source, level, cells, lambda atom: (atom[0], functor.apply(atom[1])),
+                {}, max(twice.values()),
+            )
+        for a in cells:
+            if a in twice:
+                seen: dict[int, tuple] = {}
+                for record in buckets[a]:
+                    first = seen.setdefault(record[1], record)
+                    if first is not record:
+                        break
+                fail = {"kind": "injectivity", "pair": [_spelled(first), _spelled(record)]}
+            else:
+                fa = functor.apply(a)
+                unhit = next((c for c in classes if c[0] == fa and a not in c[1]), None)
+                if unhit is None:
+                    continue
+                fail = {"kind": "surjectivity", "unhit": _spelled(unhit)}
+            failures.append({"x": a, "level": level, **fail})
     return ConducheReport(FAIL if failures else PASS, failures)
 
 
 def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[tuple]:
-    """The classes of the level's target words of size up to size_bound, as
-    (target value, N, least size); N maps each source value v to the number
-    of source words over the target word with value v, capped at 2 and left
-    out at 0.
+    """The classes of the level's target words of size up to size_bound,
+    smallest first, as (target value, N, left, k, right, least size); N maps
+    each source value v to the number of source words over the target word
+    with value v, capped at 2 and left out at 0.
 
     A composite's class depends only on its factors' classes and k, so the
     classes are listed by terms._enumerate, each once, at its least size.
+    Each class keeps its first word as a back-pointer, shaped as a record of
+    terms._value_buckets, which terms._spelled spells: an atom class holds
+    (kind, name) of its first target atom in all_atoms order as left and
+    None as k, a composite class its left class, k and right class from the
+    production the listing meets first. That is the class's first word in
+    the listing of words. A least-size word of a class has its factors at
+    their least sizes, and with their first words in their place it stays in
+    the class and comes no later. _enumerate lists words and classes of one
+    size alike, by (k, left size, left, right), so by induction on size the
+    classes come in the order of their first words, and the first production
+    met builds the first word.
     """
     source, target = functor.source, functor.target
     (src_sources, src_targets), (tgt_sources, tgt_targets) = source.boundaries, target.boundaries
@@ -376,93 +404,32 @@ def _fiber_classes(functor: OmegaFunctor, level: int, size_bound: int) -> list[t
         atoms.setdefault((GENERATOR, functor.apply(x)), {})[x] = 1
     for y in source.cells.get(level - 1, []):
         atoms.setdefault((IDENTITY, functor.apply(y)), {})[source.ids[level - 1][y]] = 1
-    least: dict[tuple, int] = {}  # (value, N as frozen items) -> least size
-    for y in target.cells.get(level, []):
-        least[(y, frozenset(atoms.get((GENERATOR, y), {}).items()))] = 0
-    for z in target.cells.get(level - 1, []):
-        preimages = atoms.get((IDENTITY, z), {})
-        least.setdefault((target.ids[level - 1][z], frozenset(preimages.items())), 0)
+    classes: dict[tuple, tuple] = {}  # (value, N as frozen items) -> its class
+    for atom, value in [((GENERATOR, y), y) for y in target.cells.get(level, [])] + [
+        ((IDENTITY, z), target.ids[level - 1][z]) for z in target.cells.get(level - 1, [])
+    ]:
+        counts = atoms.get(atom, {})
+        classes.setdefault((value, frozenset(counts.items())), (value, counts, atom, None, None, 0))
 
     def pair(left: tuple, k: int, right: tuple) -> tuple | None:
         sources, targets, table = src_sources[k], src_targets[k], src_comp[k]
         counts: dict[str, int] = {}
-        for v1, c1 in left[1]:
-            for v2, c2 in right[1]:
+        for v1, c1 in left[1].items():
+            for v2, c2 in right[1].items():
                 if sources[v1] == targets[v2]:
                     value = table.get((v1, v2)) or source.compose(v1, v2, k)
                     counts[value] = min(2, counts.get(value, 0) + c1 * c2)
         w1, w2 = left[0], right[0]
         key = (tgt_comp[k].get((w1, w2)) or target.compose(w1, w2, k), frozenset(counts.items()))
-        if key in least:
+        if key in classes:
             return None
-        least[key] = least[left] + least[right] + 1
-        return key
+        built = classes[key] = (key[0], counts, left, k, right, left[5] + right[5] + 1)
+        return built
 
-    _enumerate(
-        list(least), level - 1, lambda c, k: tgt_sources[k][c[0]],
+    return _enumerate(
+        list(classes.values()), level - 1, lambda c, k: tgt_sources[k][c[0]],
         lambda c, k: tgt_targets[k][c[0]], pair, size_bound,
-    )
-    return [(value, dict(counts), size) for (value, counts), size in least.items()]
-
-
-def _record_failures(functor: OmegaFunctor, level: int, size_bound: int) -> list[dict]:
-    """The failures of one level, from the words of both sides up to the
-    size bound.
-
-    Each side's words are listed once as records of their value and the
-    shape id of their image word (terms._value_buckets): an atom's is
-    (kind, name of its image), a composite's (left id, k, right id),
-    interned per level. The induced word map being token-wise, two words
-    have the same image word exactly when their ids are equal, so each
-    fiber comparison is a dictionary pass over ints. The records read the
-    categories' own tables; a term is rebuilt only to spell a witness, over
-    the one extension of its category that the first witness builds.
-    """
-    extensions: dict[int, CellularExtension] = {}
-
-    def spell(category: PresentedCategory, record: tuple) -> str:
-        extension = extensions.get(id(category))
-        if extension is None:
-            extension = extensions[id(category)] = full_extension(category, level)
-        return _term_of(extension, record).serialize()
-
-    shapes: dict[tuple, int] = {}
-    src_buckets, _ = _value_buckets(
-        functor.source, level, functor.source.cells.get(level, []),
-        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
-    )
-    tgt_buckets, _ = _value_buckets(
-        functor.target, level, functor.target.cells.get(level, []),
-        lambda atom: atom, shapes, size_bound,
-    )
-    failures: list[dict] = []
-    for a in functor.source.cells.get(level, []):
-        seen: dict[int, tuple] = {}
-        fail = None
-        for record in src_buckets.get(a, []):
-            shape = record[1]
-            if shape in seen:
-                fail = {
-                    "x": a,
-                    "level": level,
-                    "kind": "injectivity",
-                    "pair": [spell(functor.source, r) for r in (seen[shape], record)],
-                }
-                break
-            seen[shape] = record
-        if fail is None:
-            for record in tgt_buckets.get(functor.apply(a), []):
-                if record[1] not in seen:
-                    fail = {
-                        "x": a,
-                        "level": level,
-                        "kind": "surjectivity",
-                        "unhit": spell(functor.target, record),
-                    }
-                    break
-        if fail is not None:
-            failures.append(fail)
-    return failures
+    )[0]
 
 
 # -- movement lifting --------------------------------------------------------

@@ -169,7 +169,11 @@ def _split_size(
     and otherwise that of one of its first two composite classes. The first
     cell in cells order comes first whatever the others do, so the pass
     returns as soon as that cell has a second key: classes come smallest
-    first, and the size of the class that gives it the second is s*.
+    first, and the size of the class that gives it the second is s*. The
+    pass keeps the key of each value's first class, so it knows when a
+    value gets a second key; when none does, s* is None without a scan. At
+    level 1 every identity atom is a unit, which admit drops, so only the
+    generator atoms are paired and the identity atoms join the classes after.
     """
     sources, targets = category.boundaries
     composites = [category.comp.get((level, k), {}) for k in range(level)]
@@ -179,14 +183,19 @@ def _split_size(
     # Classes are shaped for admit as records are: (value, key, atom, None,
     # 0) for an atom, (value, key, None, k, size) for a composite.
     atoms = [(name, (name,), (GENERATOR, name), None, 0) for name in sigma]
-    atoms += [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
+    identities = [(units[x], (), (IDENTITY, x), None, 0) for x in category.cells.get(level - 1, [])]
     cells = category.cells.get(level, [])
     first = cells[0] if cells else None
-    found = {atom[1] for atom in atoms if atom[0] == first}  # first's keys so far
-    if len(found) > 1:
-        return 0, None
+    keys_of: dict[str, tuple] = {}  # value -> the key of its first class
+    split = False  # has some value got a second key?
+    for value, key, *_ in atoms + identities:
+        if keys_of.setdefault(value, key) != key:
+            if value == first:
+                return 0, None
+            split = True
 
     def pair(left: tuple, k: int, right: tuple) -> tuple | None:
+        nonlocal split
         if not admit(left, k, right):
             return None
         value = composites[k].get((left[0], right[0])) or category.compose(left[0], right[0], k)
@@ -199,19 +208,23 @@ def _split_size(
         else:
             keys.add(key)
         size = left[4] + right[4] + 1
-        if value == first:
-            found.add(key)
-            if len(found) > 1:
+        if keys_of.setdefault(value, key) != key:
+            if value == first:
                 raise _Fixed(size)
+            split = True
         return (value, key, None, k, size)
 
     try:
         classes, _ = _enumerate(
-            atoms, level - 1, lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]],
-            pair, size_bound,
+            atoms if level == 1 else atoms + identities, level - 1,
+            lambda c, k: sources[k][c[0]], lambda c, k: targets[k][c[0]], pair, size_bound,
         )
     except _Fixed as fixed:
         return fixed.args[0], None
+    if level == 1:
+        classes += identities
+    if not split:
+        return None, classes
     least: dict[str, dict[tuple, int]] = {}  # value -> key -> least size
     for value, key, _, _, size in classes:
         least.setdefault(value, {}).setdefault(key, size)

@@ -692,6 +692,25 @@ def _term_of(extension: CellularExtension, record: tuple) -> Term:
     return built[0]
 
 
+def _spelled(record: tuple) -> str:
+    """The serialization of a _value_buckets record's word, or of a class's
+    first word shaped like one (conduche._fiber_classes): its token spellings
+    joined from an explicit stack, so no term and no recursion limit."""
+    out: list[str] = []
+    todo: list = [record]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item[3] is None:
+            kind, name = item[2]
+            out += ("(", (gen(name) if kind == GENERATOR else ident_of(name)).spelling, ")")
+        else:
+            out.append("(")
+            todo += (")", item[4], comp(item[3]).spelling, item[2])
+    return "".join(out)
+
+
 def random_term(extension: CellularExtension, rng: Random, max_size: int) -> Term:
     """Grow a random term bottom-up; composability holds by construction.
 

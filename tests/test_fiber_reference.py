@@ -1,10 +1,12 @@
 """The fiber route and the basis check against per-term oracles.
 
-`fiber_conduche` decides each level from classes of target words and lists
-records of each word's value and image shape, read off its two factors, only
-on a failing level and only up to the size of its witnesses; it builds a
-term only for a witness. The record loop at the full bound is the reference
-for the class route.
+`fiber_conduche` decides each level from classes of target words, takes each
+surjectivity witness from the first word of a class, and lists records of
+each source word's value and image shape, read off its two factors, only on
+a level with an injectivity failure and only up to the size of its
+witnesses; it spells every witness from its record or class and builds no
+term. The record loop of both sides at the full bound (record_failures) is
+the reference for the class route.
 `check_basis` first runs class passes that list no word: at level 1 one
 keyed by generator sequences, which decides Basis, then one keyed by
 generator multisets, which finds the least size of a NotBasis witness.
@@ -30,7 +32,6 @@ from polyconduche.conduche import (
     PASS,
     ConducheReport,
     _fiber_classes,
-    _record_failures,
     fiber_conduche,
     full_extension,
     induced_word_map,
@@ -40,6 +41,7 @@ from polyconduche.fixtures import (
     arrow_category,
     functor_corpus,
     idem_category,
+    inflate_functor,
     loop_category,
     parallel_pair_category,
     path2_category,
@@ -65,6 +67,7 @@ from polyconduche.polygraphs import (
 )
 from polyconduche.terms import (
     IDENTITY,
+    _spelled,
     _term_of,
     _value_buckets,
     all_atoms,
@@ -238,6 +241,62 @@ def seeded_functors(count=30):
 
 
 SEEDED = seeded_functors()
+INFLATED = [(f"{name}-inflated", inflate_functor(functor, 2)) for name, functor in SEEDED]
+
+
+def record_failures(functor, level, size_bound):
+    """The failures of one level, from the words of both sides up to the
+    size bound, listed as records of their value and the shape id of their
+    image word (terms._value_buckets): an atom's is (kind, name of its
+    image), a composite's (left id, k, right id), interned per level. The
+    induced word map being token-wise, two words have the same image word
+    exactly when their ids are equal. Witnesses are terms rebuilt over each
+    side's full extension, built once."""
+    extensions = {}
+
+    def spell(category, record):
+        extension = extensions.get(id(category))
+        if extension is None:
+            extension = extensions[id(category)] = full_extension(category, level)
+        return _term_of(extension, record).serialize()
+
+    shapes = {}
+    src_buckets, _ = _value_buckets(
+        functor.source, level, functor.source.cells.get(level, []),
+        lambda atom: (atom[0], functor.apply(atom[1])), shapes, size_bound,
+    )
+    tgt_buckets, _ = _value_buckets(
+        functor.target, level, functor.target.cells.get(level, []),
+        lambda atom: atom, shapes, size_bound,
+    )
+    failures = []
+    for a in functor.source.cells.get(level, []):
+        seen = {}
+        fail = None
+        for record in src_buckets.get(a, []):
+            shape = record[1]
+            if shape in seen:
+                fail = {
+                    "x": a,
+                    "level": level,
+                    "kind": "injectivity",
+                    "pair": [spell(functor.source, r) for r in (seen[shape], record)],
+                }
+                break
+            seen[shape] = record
+        if fail is None:
+            for record in tgt_buckets.get(functor.apply(a), []):
+                if record[1] not in seen:
+                    fail = {
+                        "x": a,
+                        "level": level,
+                        "kind": "surjectivity",
+                        "unhit": spell(functor.target, record),
+                    }
+                    break
+        if fail is not None:
+            failures.append(fail)
+    return failures
 
 
 @pytest.mark.parametrize("size_bound", [1, 2, 3])
@@ -257,11 +316,16 @@ def test_fiber_conduche_matches_per_term_oracle(size_bound):
 
 def test_class_route_matches_full_bound_records():
     # The records of every level at the full bound, cut to each up_to_dim.
+    # The inflated functors have level-2 surjectivity witnesses of two
+    # compositions (16 of them), each the first word of a class built from
+    # composite classes; their level 2 has too many words to list at size 4.
     compositions = 0
-    for name, functor in CORPUS + SEEDED:
+    level_two = False
+    cases = [(name, functor, 4) for name, functor in CORPUS + SEEDED]
+    for name, functor, largest in cases + [(name, functor, 3) for name, functor in INFLATED]:
         top = min(functor.source.dimension, functor.target.dimension)
-        for size_bound in range(5):
-            levels = [_record_failures(functor, level, size_bound) for level in range(1, top + 1)]
+        for size_bound in range(largest + 1):
+            levels = [record_failures(functor, level, size_bound) for level in range(1, top + 1)]
             for up_to_dim in [None, *range(functor.source.dimension + 1)]:
                 cut = top if up_to_dim is None else min(up_to_dim, top)
                 failures = [f for level in levels[:cut] for f in level]
@@ -271,30 +335,41 @@ def test_class_route_matches_full_bound_records():
             for failure in failures:
                 for word in failure.get("pair", [failure.get("unhit", "")]):
                     compositions = max(compositions, word.count("*"))
+                level_two = level_two or (
+                    failure["level"] == 2 and failure.get("unhit", "").count("*") == 2
+                )
     assert compositions >= 2
+    assert level_two
 
 
 def test_class_route_lists_records_only_to_the_witness_size(monkeypatch):
-    # A passing functor lists no record; a failing corpus level lists them
-    # only to size 1, where its witnesses are.
+    # Surjectivity witnesses come from the classes: a level lists records
+    # only when a cell fails injectivity, only on the source side and only
+    # to its witness size, here 1.
     listed = []
     value_buckets = conduche._value_buckets
 
     def counted(category, level, sigma, atom_key, shapes, max_size, *rest, **options):
-        listed.append((level, max_size))
+        listed.append((category, level, max_size))
         return value_buckets(category, level, sigma, atom_key, shapes, max_size, *rest, **options)
 
     monkeypatch.setattr(conduche, "_value_buckets", counted)
     verdicts = set()
+    kinds = set()
+    listings = 0
     for name, functor in CORPUS:
         listed.clear()
         report = fiber_conduche(functor, 3)
         verdicts.add(report.verdict)
-        failing = sorted({f["level"] for f in report.failures})
-        assert sorted({level for level, _ in listed}) == failing, name
-        assert len(listed) == 2 * len(failing), name
-        assert {size for _, size in listed} <= {1}, name
+        kinds.update(f["kind"] for f in report.failures)
+        injective = sorted({f["level"] for f in report.failures if f["kind"] == "injectivity"})
+        assert [level for _, level, _ in listed] == injective, name
+        assert all(category is functor.source for category, _, _ in listed), name
+        assert {size for _, _, size in listed} <= {1}, name
+        listings += len(listed)
     assert verdicts == {PASS, FAIL}
+    assert kinds == {"injectivity", "surjectivity"}
+    assert listings == 7
 
 
 def record_size(record):
@@ -305,11 +380,13 @@ def record_size(record):
 def test_fiber_classes_match_value_records():
     # Each target word's class (value, N) read off the records of both sides
     # at the same bound: the source words over a target word are those with
-    # its shape id, and have its size.
+    # its shape id, and have its size. Each class's back-pointer spells the
+    # first of its words at its least size, in the listing's order.
     saturated = composite = False
     for name, functor in CORPUS:
         source, target = functor.source, functor.target
         for level in range(1, min(source.dimension, target.dimension) + 1):
+            extension = full_extension(target, level)
             shapes = {}
             src_buckets, _ = _value_buckets(
                 source, level, source.cells.get(level, []),
@@ -324,14 +401,18 @@ def test_fiber_classes_match_value_records():
                     n = counts.setdefault(record[1], {})
                     n[value] = min(2, n.get(value, 0) + 1)
             want = {}
+            first = {}  # (value, N) -> its first word of least size
             for value, records in tgt_buckets.items():
                 for record in records:
                     key = (value, frozenset(counts.get(record[1], {}).items()))
-                    want[key] = min(want.get(key, 3), record_size(record))
-            got = {
-                (value, frozenset(n.items())): size
-                for value, n, size in _fiber_classes(functor, level, 3)
-            }
+                    if record_size(record) < want.get(key, 4):
+                        want[key] = record_size(record)
+                        first[key] = _term_of(extension, record).serialize()
+            got = {}
+            for value, n, left, k, right, size in _fiber_classes(functor, level, 3):
+                key = (value, frozenset(n.items()))
+                got[key] = size
+                assert _spelled((value, n, left, k, right)) == first[key], (name, level, key)
             assert got == want, (name, level)
             saturated = saturated or any(2 in dict(n).values() for _, n in got)
             composite = composite or any(got.values())
@@ -452,9 +533,11 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
     for ordered in (False, True):
         assert _split_size(path2, 1, list(path2.cells[1]), 6, admit, ordered) == (0, None)
     monkeypatch.undo()
-    # The square with e listed first: e's second multiset comes at size 1,
-    # and the pass stops there. Listed last, e is still the first cell to
-    # split, but the pass lists classes up to the bound to know it.
+    # The commutative monoid with z listed first: z's second multiset comes
+    # at size 2, and the pass stops there. Listed last, z is still the first
+    # cell to split, but the pass lists classes up to the bound to know it.
+    # (The square's level-1 pass pairs only its four edges, which compose no
+    # further than size 1, so where e is listed changes no work there.)
     admitted = []
 
     def counted(admit):
@@ -465,12 +548,12 @@ def test_split_size_stops_once_the_first_cell_has_split(monkeypatch):
         return inner
 
     for first in (False, True):
-        square = square_category()
+        monoid = commutative_category()
         if first:
-            square.cells[1] = ["e"] + [cell for cell in square.cells[1] if cell != "e"]
+            monoid.cells[1] = ["z"] + [cell for cell in monoid.cells[1] if cell != "z"]
         admitted.append(0)
-        admit = counted(_reduced_records(square, 1))
-        assert _split_size(square, 1, list("fghk"), 6, admit, False) == (1, None)
+        admit = counted(_reduced_records(monoid, 1))
+        assert _split_size(monoid, 1, ["a", "b"], 6, admit, False) == (2, None)
     assert 0 < admitted[1] < admitted[0]
 
 

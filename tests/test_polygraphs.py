@@ -242,16 +242,43 @@ def test_level_one_basis_verdicts_list_no_record(monkeypatch, name):
     assert built == {"CellularExtension": 0}
 
 
-def test_level_one_word_count_meets_max_terms_exactly():
+def test_level_one_word_count_meets_max_terms_exactly(monkeypatch):
     # chain7's reduced words within its bound of 8: the 8 identity atoms and,
     # for each of the 8 - L paths of L edges, Catalan(L - 1) bracketings.
+    # With max_terms at exactly that sum, Basis comes from the sequence
+    # classes alone, with no record listed.
     chain7 = chain7_category()
     sigma = list(chain7.basis[1])
     catalan = [1, 1, 2, 5, 14, 42, 132]
     assert 8 + sum((8 - L) * catalan[L - 1] for L in range(1, 8)) == 309
     cut = check_basis(chain7, 1, sigma, BasisBounds(max_terms=308))
     assert cut.to_json() == {"verdict": UNKNOWN, "unresolved": ["<enumeration truncated>"]}
+    calls = {"_value_buckets": 0}
+    monkeypatch.setattr(polygraphs, "_value_buckets", counting(calls, "_value_buckets"))
     assert check_basis(chain7, 1, sigma, BasisBounds(max_terms=309)).verdict == BASIS
+    assert calls == {"_value_buckets": 0}
+
+
+def test_level_one_sequence_pass_pairs_only_generator_atoms(monkeypatch):
+    # At level 1 every identity atom is a unit that the reduced filter drops,
+    # so the pass pairs chain7's 7 edges alone: 56 filter calls, where
+    # pairing its 8 identity atoms too made 120.
+    calls = []
+    reduced_records = polygraphs._reduced_records
+
+    def counted_filter(category, level):
+        admit = reduced_records(category, level)
+
+        def counted(*args):
+            calls.append(args)
+            return admit(*args)
+
+        return counted
+
+    monkeypatch.setattr(polygraphs, "_reduced_records", counted_filter)
+    chain7 = chain7_category()
+    assert check_basis(chain7, 1, list(chain7.basis[1])).verdict == BASIS
+    assert len(calls) == 56
 
 
 def test_level_two_words_with_the_same_atoms_are_searched():
